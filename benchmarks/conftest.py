@@ -9,8 +9,7 @@ every model exactly once.
 The benchmarks use a dedicated ``bench`` profile -- smaller than the ``fast``
 profile used by ``python -m repro.experiments.runner`` -- so the whole
 harness completes on a single CPU core in minutes.  The regenerated numbers
-are printed below each benchmark; EXPERIMENTS.md records the fast-profile
-numbers alongside the paper's.
+are printed below each benchmark.
 
 Artifact harness
 ----------------

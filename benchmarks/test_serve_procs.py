@@ -98,7 +98,6 @@ def _measure(registry, stream, mode: str, busy_threads: int):
         list(MODELS),
         replicas=1,
         max_batch_size=MAX_BATCH_SIZE,
-        max_wait_ms=2.0,
         cache_size=0,  # isolate scheduling + forward cost
         mode=mode,
     )

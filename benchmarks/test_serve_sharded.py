@@ -127,7 +127,6 @@ def test_sharded_thread_mode_with_replicas(benchmark):
         replicas=2,
         routing="least_loaded",
         max_batch_size=MAX_BATCH_SIZE,
-        max_wait_ms=2.0,
         cache_size=CACHE_SIZE,
         mode="thread",
     )

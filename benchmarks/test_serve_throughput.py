@@ -9,7 +9,11 @@ subsystem: the same stream of unique images is pushed through
 * the **micro-batching scheduler** at ``max_batch_size=32`` with the
   prediction cache disabled, isolating the batching amortization;
 * the scheduler again on a duplicate-heavy stream with the cache enabled,
-  showing the additional win on repetitive traffic.
+  showing the additional win on repetitive traffic;
+* a **sequential in-process caller** (one request in flight at a time)
+  through the thread-mode scheduler against bare batch-1 engine calls:
+  busy-driven dispatch runs a lone request at once, so the serving path
+  may cost at most 3x the bare call (reach a third of its rate).
 
 Baseline note: since the compiled-engine PR, even the "naive" per-request
 ``predict`` rides the per-model cached
@@ -29,11 +33,13 @@ report artifact.
 
 from __future__ import annotations
 
+import time
+
 from conftest import run_once, write_bench_artifact
 
 from repro.core import DefenseConfig, DefendedClassifier
 from repro.serve import (
-    InferenceServer,
+    BatchedServer,
     ModelRegistry,
     generate_requests,
     run_load,
@@ -76,7 +82,7 @@ def test_micro_batching_speedup(benchmark):
         key=lambda report: report.images_per_second,
     )
 
-    batched_server = InferenceServer(
+    batched_server = BatchedServer(
         registry, max_batch_size=MAX_BATCH_SIZE, cache_size=0, mode="sync"
     )
     batched = run_once(
@@ -87,7 +93,7 @@ def test_micro_batching_speedup(benchmark):
         if replay.images_per_second > batched.images_per_second:
             batched = replay
 
-    cached_server = InferenceServer(
+    cached_server = BatchedServer(
         registry, max_batch_size=MAX_BATCH_SIZE, cache_size=2 * NUM_REQUESTS, mode="sync"
     )
     cached = run_load(cached_server, repeat_stream, label="micro_batched[cached]")
@@ -120,8 +126,8 @@ def test_micro_batching_speedup(benchmark):
 
 def test_thread_scheduler_keeps_up(benchmark):
     _classifier, registry, unique_stream, _repeat = _serving_setup()
-    server = InferenceServer(
-        registry, max_batch_size=MAX_BATCH_SIZE, max_wait_ms=2.0, cache_size=0, mode="thread"
+    server = BatchedServer(
+        registry, max_batch_size=MAX_BATCH_SIZE, cache_size=0, mode="thread"
     )
 
     def serve_stream():
@@ -135,3 +141,41 @@ def test_thread_scheduler_keeps_up(benchmark):
     assert report.requests == NUM_REQUESTS
     assert report.mean_batch_size > 1
     assert report.images_per_second > 0
+
+
+def test_sequential_caller_keeps_pace_with_bare_engine(benchmark):
+    """A caller that waits for each answer must not pay a batching delay."""
+
+    _classifier, registry, unique_stream, _repeat = _serving_setup()
+    engine = registry.engine("baseline")
+    images = [request.image[None] for request in unique_stream]
+    server = BatchedServer(
+        registry, max_batch_size=MAX_BATCH_SIZE, cache_size=0, mode="thread"
+    )
+
+    def bare_rate():
+        started = time.perf_counter()
+        for image in images:
+            engine.predict_proba(image, batch_size=1)
+        return len(images) / (time.perf_counter() - started)
+
+    def served_rate():
+        started = time.perf_counter()
+        for request in unique_stream:
+            server.submit(request).result()
+        return len(unique_stream) / (time.perf_counter() - started)
+
+    with server:
+        served_rate()  # warm the worker thread and the batch-1 workspaces
+        # Best-of-N on both sides, interleaved so drift hits both alike.
+        bare, served = 0.0, run_once(benchmark, served_rate)
+        for _ in range(REPLAYS):
+            bare = max(bare, bare_rate())
+            served = max(served, served_rate())
+    ratio = served / bare
+    print(f"\nbare engine (batch 1): {bare:.0f} img/s")
+    print(f"sequential caller through the server: {served:.0f} img/s ({ratio:.2f}x)")
+    assert ratio >= 1.0 / 3.0, (
+        f"a sequential caller reached only {ratio:.2f}x the bare engine's "
+        f"batch-1 rate (need >= 0.33x)"
+    )

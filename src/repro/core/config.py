@@ -218,8 +218,7 @@ def table2_variants(
     # magnitudes depend on the feature-map scale of the substrate).  The row
     # correspondence to Table II is: conv3/5/7 <-> the 3x3/5x5/7x7 depthwise
     # rows, tv_0.02 <-> "TV 1e-4", tv_0.01 <-> "TV 1e-5", tik_hf_1 <-> "Tik_hf
-    # 1e-4" and tik_pseudo_0.0001 <-> "Tik_pseudo 1e-6".  EXPERIMENTS.md
-    # records the calibration.
+    # 1e-4" and tik_pseudo_0.0001 <-> "Tik_pseudo 1e-6".
     variants.extend(
         [
             DefenseConfig.depthwise_linf(3, alpha=1e-3),

@@ -78,7 +78,7 @@ class ExperimentProfile:
     # The paper uses eps = 8/255 with 10 steps.  The synthetic sign classes
     # are far more separable than LISA photographs (the classifier margin
     # exceeds 8/255), so the unconstrained-pixel experiment (Table IV) uses a
-    # proportionally larger budget on this substrate -- see EXPERIMENTS.md.
+    # proportionally larger budget on this substrate.
     pgd_epsilon: float = 0.12
     pgd_step_size: float = 0.02
     pgd_steps: int = 20

@@ -2,8 +2,8 @@
 
 Every function returns the *data* behind the corresponding figure (arrays /
 row dictionaries) rather than a rendered image, since the repository has no
-plotting dependency; the benchmark harness and EXPERIMENTS.md assert on and
-record the data.
+plotting dependency; the benchmark harness asserts on the data and prints
+it.
 
 * Figure 1 -- input-space FFT spectra of a clean vs sticker-perturbed stop
   sign (they look nearly identical, motivating feature-space filtering).

@@ -2,7 +2,7 @@
 
 Every experiment returns a list of row dictionaries; these helpers render
 them as aligned text tables (mirroring the paper's tables) and serialize
-them to JSON so EXPERIMENTS.md can quote measured numbers.
+them to JSON so measured numbers can be kept and compared across runs.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ from ..models.factory import build_variant, resolve_variant
 from ..serve.frontend import SocketClient, SocketFrontend
 from ..serve.http import HttpClient, HttpFrontend
 from ..serve.registry import ModelRegistry
-from ..serve.server import BatchedServer, InferenceServer
+from ..serve.server import BatchedServer
 from ..serve.shard import ShardedServer
 from ..serve.traffic import (
     ThroughputReport,
@@ -146,13 +146,13 @@ def run_serving_evaluation(
 
     naive = run_naive_loop(classifier, unique_stream)
 
-    batched_server = InferenceServer(
+    batched_server = BatchedServer(
         registry, max_batch_size=max_batch_size, cache_size=0, mode="sync"
     )
     batched_server.warm("baseline")
     batched = run_load(batched_server, unique_stream, label="micro_batched[sync]")
 
-    cached_server = InferenceServer(
+    cached_server = BatchedServer(
         registry, max_batch_size=max_batch_size, cache_size=4 * num_requests, mode="sync"
     )
     cached_server.warm("baseline")

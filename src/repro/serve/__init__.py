@@ -6,25 +6,27 @@ workload:
 * :class:`~repro.serve.registry.ModelRegistry` -- trains-or-loads named
   variants and persists their weights;
 * :class:`~repro.serve.batching.MicroBatcher` -- coalesces single-image
-  requests into dynamic micro-batches;
+  requests into micro-batches with busy-driven dispatch (an idle worker
+  runs a request at once; what queues while it is busy forms the next
+  batch);
 * :class:`~repro.serve.cache.PredictionCache` -- content-addressed LRU
   cache of probability vectors, with
   :class:`~repro.serve.admission.TinyLFUCache` as the spam-resistant
   alternative behind every server's ``cache_policy="tinylfu"`` knob;
 * :class:`~repro.serve.autotune.BatchTuner` -- online hill-climbing of
-  ``max_batch_size``/``max_wait`` from observed arrival rate and
-  per-batch latency (every server's ``autotune=True`` knob);
-* :class:`~repro.serve.server.BatchedServer` -- the single-queue server
-  wiring the three together behind submit/predict calls (alias
-  ``InferenceServer``);
+  ``max_batch_size`` from per-batch latency (every server's
+  ``autotune=True`` knob);
+* :class:`~repro.serve.server.BatchedServer` -- the one replica core
+  wiring the three together behind submit/predict calls: validate, probe
+  the cache, queue in the batcher, run each batch through one forward;
+* :class:`~repro.serve.procshard.ProcessReplica` -- the same core with
+  its forward moved into a worker *process* compiled from the registry's
+  :class:`~repro.serve.registry.ModelSnapshot` (one pipe round trip per
+  batch, true parallel forwards, no shared GIL);
 * :class:`~repro.serve.shard.ShardedServer` -- multi-model sharding:
-  per-variant worker shards (each a pinned :class:`BatchedServer` with its
-  own scheduler and cache), replicas, and pluggable round-robin /
-  least-loaded routing;
-* :class:`~repro.serve.procshard.ProcessReplica` -- ``mode="process"``
-  shard replicas: worker *processes* compiled from the registry's
-  :class:`~repro.serve.registry.ModelSnapshot`, batched pipe IPC, true
-  parallel forwards (no shared GIL);
+  per-variant shard replicas (each a pinned :class:`BatchedServer` or,
+  with ``mode="process"``, a :class:`ProcessReplica`), replicas, and
+  pluggable round-robin / least-loaded routing;
 * :class:`~repro.serve.frontend.SocketFrontend` -- non-blocking asyncio
   socket front-end speaking length-prefixed JSON / ``.npy`` frames, with
   :class:`~repro.serve.frontend.SocketClient` as the matching client;
@@ -58,7 +60,7 @@ from .frontend import SocketClient, SocketFrontend
 from .http import HttpClient, HttpFrontend
 from .procshard import ProcessReplica
 from .registry import ModelRegistry, ModelSnapshot, classifier_from_snapshot
-from .server import BatchedServer, InferenceServer
+from .server import BatchedServer
 from .shard import (
     LeastLoadedPolicy,
     RoundRobinPolicy,
@@ -90,7 +92,6 @@ __all__ = [
     "ModelSnapshot",
     "classifier_from_snapshot",
     "BatchedServer",
-    "InferenceServer",
     "ShardedServer",
     "ShardReplica",
     "ProcessReplica",

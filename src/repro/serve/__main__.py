@@ -169,12 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--batch-size", type=int, default=32, help="max micro-batch size")
     parser.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="scheduler wait for stragglers in thread mode (default: 2 ms)",
-    )
-    parser.add_argument(
         "--mode",
         choices=("thread", "sync", "process"),
         default="thread",
@@ -197,9 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--autotune",
         action="store_true",
-        help="adjust max_batch_size / max_wait online per queue/replica from "
-        "observed arrival rate and per-batch latency (--batch-size and "
-        "--max-wait-ms become the controller's starting point)",
+        help="adjust max_batch_size online per queue/replica from per-batch "
+        "latency (--batch-size becomes the controller's starting point)",
     )
     parser.add_argument(
         "--compare-naive",
@@ -238,7 +231,6 @@ def _build_server(arguments: argparse.Namespace, registry: ModelRegistry, models
             replicas=arguments.replicas,
             routing=arguments.routing,
             max_batch_size=arguments.batch_size,
-            max_wait_ms=arguments.max_wait_ms,
             cache_size=arguments.cache_size,
             cache_policy=arguments.cache_policy,
             mode=arguments.mode,
@@ -247,7 +239,6 @@ def _build_server(arguments: argparse.Namespace, registry: ModelRegistry, models
     return BatchedServer(
         registry,
         max_batch_size=arguments.batch_size,
-        max_wait_ms=arguments.max_wait_ms,
         cache_size=arguments.cache_size,
         cache_policy=arguments.cache_policy,
         mode=arguments.mode,
@@ -422,7 +413,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         single = BatchedServer(
             registry,
             max_batch_size=arguments.batch_size,
-            max_wait_ms=arguments.max_wait_ms,
             cache_size=arguments.cache_size,
             cache_policy=arguments.cache_policy,
             mode=single_mode,
@@ -439,8 +429,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     with server:
         reports.append(run_load(server, requests, label=label))
     if arguments.autotune:
-        # BatchedServer and ProcessReplica both expose .tuner; sharded
-        # deployments have one per replica.
+        # Every replica (thread, sync or process) carries its own .tuner.
         tuners = (
             [replica.server.tuner for replica in server.all_replicas]
             if arguments.shards is not None

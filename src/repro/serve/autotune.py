@@ -1,13 +1,12 @@
-"""Online autotuning of the micro-batch scheduling knobs.
+"""Online autotuning of the micro-batch size.
 
-The two knobs of every dynamic batcher -- ``max_batch_size`` (how many
-requests one forward amortizes over) and ``max_wait`` (how long the
-scheduler holds the first request of a batch for stragglers) -- have no
-single right value: the engine's throughput curve peaks somewhere in the
-16-32 range on this substrate (see ``docs/performance.md``), the exact
-peak moves with model variant and host, and the wait that fills a batch
-depends entirely on the observed arrival rate.  Fixed settings are
-therefore always wrong for some traffic.
+The scheduler's one knob -- ``max_batch_size``, how many requests one
+forward amortizes over -- has no single right value: the engine's
+throughput curve peaks somewhere in the 16-32 range on this substrate
+(see ``docs/performance.md``), and the exact peak moves with model
+variant and host.  A fixed setting is therefore always wrong for some
+traffic.  (There is no wait knob: dispatch is busy-driven, so a batch
+holds whatever queued while the previous one ran.)
 
 :class:`BatchTuner` closes the loop online:
 
@@ -25,49 +24,35 @@ therefore always wrong for some traffic.
   noise: moves need a relative improvement beyond ``rel_tolerance``, a
   revert parks the climber for ``hold_epochs`` epochs before it probes
   again (in the opposite direction), and plateaus -- two rungs within
-  the dead band -- settle on whichever rung measured higher, then park;
-* **max_wait** is derived from the observed arrival rate: an EWMA over
-  request inter-arrival gaps estimates how long ``batch_size`` arrivals
-  take, and the recommended wait is half that accumulation time (clamped
-  to ``[min_wait, max_wait]``) -- long enough to fill batches under the
-  current load, never longer than the latency budget allows.
+  the dead band -- settle on whichever rung measured higher, then park.
 
-The tuner is embedded by :class:`~repro.serve.batching.MicroBatcher`
-(thread and sync modes) and by :class:`~repro.serve.procshard.ProcessReplica`
-(parent-side batching); both feed it observations and re-read
-:meth:`BatchTuner.recommend` after every executed batch.  The tuner object
-lives on the *server* (or replica), not the scheduler, so its learned
-state survives scheduler rebuilds and worker-process crash-restarts.
+The tuner is embedded by :class:`~repro.serve.batching.MicroBatcher`,
+which feeds it every executed batch and re-reads
+:attr:`BatchTuner.batch_size` after each one.  The tuner object lives on
+the *server* (thread, sync or process replica), not the scheduler, so its
+learned state survives scheduler rebuilds and worker-process respawns.
 
-Thread-safety: all methods take an internal lock; observations may arrive
-from submitter threads, scheduler workers and pipe-receiver threads
-concurrently.
+Thread-safety: all methods take an internal lock.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Optional
 
 __all__ = ["BatchTuner"]
 
 
 class BatchTuner:
-    """Hill-climbing controller for ``max_batch_size`` / ``max_wait``.
+    """Hill-climbing controller for ``max_batch_size``.
 
     Parameters
     ----------
     initial_batch_size:
         Starting batch-size rung (clamped into the configured bounds).
-    initial_wait:
-        Straggler wait (seconds) recommended until enough arrivals have
-        been observed to estimate the arrival rate.
     min_batch_size, max_batch_size:
         Inclusive bounds of the power-of-two batch-size ladder.
-    min_wait, max_wait:
-        Inclusive bounds (seconds) of the recommended straggler wait.
     epoch_batches:
         Minimum executed batches aggregated into one throughput
         measurement.
@@ -88,11 +73,8 @@ class BatchTuner:
     def __init__(
         self,
         initial_batch_size: int = 8,
-        initial_wait: float = 0.002,
         min_batch_size: int = 2,
         max_batch_size: int = 64,
-        min_wait: float = 0.0005,
-        max_wait: float = 0.010,
         epoch_batches: int = 8,
         epoch_min_images: int = 128,
         rel_tolerance: float = 0.05,
@@ -103,8 +85,6 @@ class BatchTuner:
                 f"need 1 <= min_batch_size <= max_batch_size; got "
                 f"[{min_batch_size}, {max_batch_size}]"
             )
-        if min_wait < 0 or max_wait < min_wait:
-            raise ValueError(f"need 0 <= min_wait <= max_wait; got [{min_wait}, {max_wait}]")
         if epoch_batches < 1:
             raise ValueError("epoch_batches must be positive")
         if epoch_min_images < 1:
@@ -115,8 +95,6 @@ class BatchTuner:
             raise ValueError("hold_epochs must be non-negative")
         self.min_batch_size = min_batch_size
         self.max_batch_size = max_batch_size
-        self.min_wait = min_wait
-        self.max_wait = max_wait
         self.epoch_batches = epoch_batches
         self.epoch_min_images = epoch_min_images
         self.rel_tolerance = rel_tolerance
@@ -124,7 +102,6 @@ class BatchTuner:
 
         self._lock = threading.Lock()
         self._batch_size = min(max(initial_batch_size, min_batch_size), max_batch_size)
-        self._wait = min(max(initial_wait, min_wait), max_wait)
         self._direction = 1  # +1 grow, -1 shrink
         self._settled: Optional[int] = None  # last accepted rung
         self._hold = 0
@@ -138,9 +115,6 @@ class BatchTuner:
         self._epoch_batch_count = 0
         self._epoch_images = 0
         self._epoch_busy_seconds = 0.0
-        # Arrival-rate EWMA.
-        self._last_arrival: Optional[float] = None
-        self._ewma_gap: Optional[float] = None
         # Observability counters.  The history is bounded: a tuner lives
         # as long as its server and must not grow with uptime.
         self.epochs = 0
@@ -150,29 +124,11 @@ class BatchTuner:
     # ------------------------------------------------------------------
     # Observations
     # ------------------------------------------------------------------
-    def record_arrival(self, now: Optional[float] = None) -> None:
-        """Note one request arrival (feeds the arrival-rate EWMA).
-
-        ``now`` is a ``time.perf_counter`` timestamp; it defaults to the
-        current time and is injectable for tests.
-        """
-
-        if now is None:
-            now = time.perf_counter()
-        with self._lock:
-            if self._last_arrival is not None:
-                gap = max(now - self._last_arrival, 0.0)
-                if self._ewma_gap is None:
-                    self._ewma_gap = gap
-                else:
-                    self._ewma_gap = 0.2 * gap + 0.8 * self._ewma_gap
-            self._last_arrival = now
-
     def record_batch(self, size: int, latency_seconds: float) -> None:
         """Note one executed micro-batch of ``size`` images.
 
-        ``latency_seconds`` is the wall time of the batched forward (for
-        process replicas: the full dispatch-to-completion round trip).
+        ``latency_seconds`` is the wall time of the batch run (for process
+        replicas it includes the pipe round trip to the worker).
         An epoch closes -- and may move the batch-size rung -- once at
         least ``epoch_batches`` batches *and* ``epoch_min_images`` images
         have been observed.
@@ -317,13 +273,12 @@ class BatchTuner:
     def freeze(self, adopt_best: bool = False) -> None:
         """Pin the recommendation: stop adjusting until :meth:`unfreeze`.
 
-        Batch observations are ignored while frozen (arrival recording
-        still feeds the wait estimate).  With ``adopt_best=True`` the
-        controller first jumps to :meth:`best_rung` -- when freezing for
-        an evaluation window you want the best configuration it has
-        evidence for, not whatever transient probe state it is in.  Use
-        for evaluation windows or canary comparisons where the
-        configuration must hold still.
+        Batch observations are ignored while frozen.  With
+        ``adopt_best=True`` the controller first jumps to
+        :meth:`best_rung` -- when freezing for an evaluation window you
+        want the best configuration it has evidence for, not whatever
+        transient probe state it is in.  Use for evaluation windows or
+        canary comparisons where the configuration must hold still.
         """
 
         with self._lock:
@@ -347,49 +302,13 @@ class BatchTuner:
         with self._lock:
             return self._batch_size
 
-    @property
-    def wait(self) -> float:
-        """The currently recommended ``max_wait`` in seconds."""
-
-        return self.recommend()[1]
-
-    def recommend(self) -> Tuple[int, float]:
-        """Current ``(max_batch_size, max_wait_seconds)`` recommendation.
-
-        The wait is re-derived from the arrival-rate EWMA on every call:
-        half the estimated time for ``batch_size`` arrivals, clamped to
-        the configured bounds (the initial wait is returned until at
-        least one inter-arrival gap has been observed).
-        """
-
-        with self._lock:
-            self._refresh_wait_locked()
-            return self._batch_size, self._wait
-
-    def _refresh_wait_locked(self) -> None:
-        """Re-derive the wait from the arrival EWMA (caller holds the lock)."""
-
-        if self._ewma_gap is not None and self._ewma_gap > 0.0:
-            accumulation = self._batch_size * self._ewma_gap
-            self._wait = min(max(0.5 * accumulation, self.min_wait), self.max_wait)
-
     def as_dict(self) -> Dict[str, object]:
-        """JSON-friendly snapshot of the tuner state (for reports/stats).
-
-        ``max_wait_ms`` is ``None`` until at least one inter-arrival gap
-        has been observed -- a consumer that never feeds arrivals (the
-        busy-driven process replica has no wait knob) reports no wait
-        rather than a stale initial value.
-        """
+        """JSON-friendly snapshot of the tuner state (for reports/stats)."""
 
         with self._lock:
-            self._refresh_wait_locked()
             return {
                 "batch_size": self._batch_size,
                 "best_rung": self._best_rung_locked(),
-                "max_wait_ms": (
-                    round(self._wait * 1000.0, 4) if self._ewma_gap is not None else None
-                ),
                 "epochs": self.epochs,
                 "adjustments": self.adjustments,
                 "holding": self._hold > 0,

@@ -7,27 +7,27 @@ amortization that makes the compiled inference engine pay off.
 
 Two execution modes are provided:
 
-* ``"thread"`` -- a background worker drains a queue: it blocks for the
-  first pending request, then keeps gathering until ``max_batch_size``
-  requests are in hand or ``max_wait`` seconds have passed, whichever
-  comes first.  This is the latency/throughput trade-off knob of every
-  production batcher.
+* ``"thread"`` -- busy-driven dispatch: a background worker blocks for the
+  first pending request and runs it at once, together with whatever is
+  already queued (up to ``max_batch_size``).  Requests that arrive while a
+  batch runs form the next one, so an idle server adds no queueing delay
+  and a busy one fills its batches from the backlog -- no timer decides
+  when a batch is full.
 * ``"sync"`` -- no threads: submissions accumulate in-process and run when
   ``max_batch_size`` is reached or :meth:`MicroBatcher.flush` is called.
   Deterministic and convenient for tests, benchmarks and offline jobs.
 
 The batcher is model-agnostic: it resolves each batch through a
 ``batch_runner(model_name, requests) -> responses`` callable supplied by
-the owner (the :class:`~repro.serve.server.InferenceServer`).  Requests for
+the owner (the :class:`~repro.serve.server.BatchedServer`).  Requests for
 different models submitted concurrently are grouped per model before being
 run.
 
-When a :class:`~repro.serve.autotune.BatchTuner` is attached, the batcher
-closes the autotuning loop: every submit feeds the tuner's arrival-rate
-estimate, every executed batch reports its size and latency, and the
-scheduler re-reads the recommended ``max_batch_size`` / ``max_wait`` after
-each batch -- so both knobs track the observed traffic online instead of
-staying at their constructor values.
+When a :class:`~repro.serve.autotune.BatchTuner` is attached, every
+executed batch reports its size and latency to it, and the scheduler
+re-reads the recommended ``max_batch_size`` after each batch -- so the cap
+tracks the observed traffic online instead of staying at its constructor
+value.
 """
 
 from __future__ import annotations
@@ -49,11 +49,17 @@ _BatchRunner = Callable[[str, Sequence["QueuedRequest"]], List[PredictResponse]]
 
 @dataclass
 class QueuedRequest:
-    """A request in flight: the payload, its future and its submit time."""
+    """A request in flight: the payload, its future and its submit time.
+
+    ``cache_key`` is the prediction-cache key the server computed for its
+    cache probe, carried along so the answer is inserted under the same
+    key without hashing the image again (``None`` when caching is off).
+    """
 
     request: PredictRequest
     future: "Future[PredictResponse]" = field(default_factory=Future)
     submitted_at: float = field(default_factory=time.perf_counter)
+    cache_key: Optional[str] = None
 
 
 class MicroBatcher:
@@ -66,15 +72,12 @@ class MicroBatcher:
         one :class:`PredictResponse` per queued request, in order.
     max_batch_size:
         Upper bound on requests folded into one forward pass.
-    max_wait:
-        Seconds the worker waits for stragglers after the first request of
-        a batch arrives (thread mode only).
     mode:
         ``"thread"`` or ``"sync"`` (see module docstring).
     tuner:
         Optional :class:`~repro.serve.autotune.BatchTuner`; when given,
-        ``max_batch_size``/``max_wait`` start from (and keep following)
-        the tuner's recommendation instead of the constructor values.
+        ``max_batch_size`` starts from (and keeps following) the tuner's
+        recommendation instead of the constructor value.
         The tuner object is owned by the server, so its learned state
         survives scheduler rebuilds on :meth:`~repro.serve.server.BatchedServer.restart`.
     """
@@ -83,22 +86,16 @@ class MicroBatcher:
         self,
         batch_runner: _BatchRunner,
         max_batch_size: int = 32,
-        max_wait: float = 0.002,
         mode: str = "thread",
         tuner: Optional[BatchTuner] = None,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be positive")
-        if max_wait < 0:
-            raise ValueError("max_wait must be non-negative")
         if mode not in {"thread", "sync"}:
             raise ValueError(f"unknown mode {mode!r}; expected 'thread' or 'sync'")
         self.batch_runner = batch_runner
         self.tuner = tuner
-        if tuner is not None:
-            max_batch_size, max_wait = tuner.recommend()
-        self.max_batch_size = max_batch_size
-        self.max_wait = max_wait
+        self.max_batch_size = tuner.batch_size if tuner is not None else max_batch_size
         self.mode = mode
         self._queue: "queue.Queue[Optional[QueuedRequest]]" = queue.Queue()
         self._pending: List[QueuedRequest] = []  # sync mode accumulator
@@ -156,12 +153,16 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def submit(self, request: PredictRequest) -> "Future[PredictResponse]":
-        """Enqueue one request; returns a future for its response."""
+    def submit(
+        self, request: PredictRequest, cache_key: Optional[str] = None
+    ) -> "Future[PredictResponse]":
+        """Enqueue one request; returns a future for its response.
 
-        item = QueuedRequest(request)
-        if self.tuner is not None:
-            self.tuner.record_arrival(item.submitted_at)
+        ``cache_key`` rides along on the :class:`QueuedRequest` for the
+        batch runner (see :attr:`QueuedRequest.cache_key`).
+        """
+
+        item = QueuedRequest(request, cache_key=cache_key)
         if self.mode == "sync":
             with self._lock:
                 self._pending.append(item)
@@ -233,32 +234,23 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
         while True:
-            try:
-                first = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                if not self._running:
-                    return
-                continue
-            if first is None:
+            item = self._queue.get()
+            # Busy-driven: run the first request now, together with
+            # whatever queued while the previous batch was running.
+            batch: List[QueuedRequest] = []
+            while item is not None:
+                batch.append(item)
+                if len(batch) >= self.max_batch_size:
+                    break
+                try:
+                    item = self._queue.get_nowait()
+                except queue.Empty:
+                    break
+            self._run_batch(batch)
+            if item is None:
                 # Shutdown sentinel: drain whatever is left, then exit.
                 self._drain_remaining()
                 return
-            batch = [first]
-            deadline = time.perf_counter() + self.max_wait
-            while len(batch) < self.max_batch_size:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                try:
-                    item = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
-                if item is None:
-                    self._run_batch(batch)
-                    self._drain_remaining()
-                    return
-                batch.append(item)
-            self._run_batch(batch)
 
     def _drain_remaining(self) -> None:
         leftovers: List[QueuedRequest] = []
@@ -306,4 +298,4 @@ class MicroBatcher:
                     if not item.future.done():
                         item.future.set_exception(error)
         if self.tuner is not None:
-            self.max_batch_size, self.max_wait = self.tuner.recommend()
+            self.max_batch_size = self.tuner.batch_size

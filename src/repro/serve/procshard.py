@@ -1,39 +1,25 @@
 """Process-backed shard replicas: forwards that never share the parent's GIL.
 
-Thread-mode shard replicas (:class:`~repro.serve.server.BatchedServer`
-inside :class:`~repro.serve.shard.ShardedServer`) only overlap inside BLAS
-calls -- every per-request Python step (queue hops, future resolution,
-response construction) of every replica serializes on one interpreter
-lock.  A :class:`ProcessReplica` moves the model forward out of the parent
-interpreter entirely:
+Thread-mode replicas only overlap inside BLAS calls -- every Python step
+of every replica serializes on one interpreter lock.  A
+:class:`ProcessReplica` is the same replica core
+(:class:`~repro.serve.server.BatchedServer`: validation, parent-side
+cache, busy-driven batcher, stats, responses) with one override: the batch
+forward is a pipe round trip (float32 images out, float32 probabilities
+back) to a worker **process** spawned from a picklable
+:class:`~repro.serve.registry.ModelSnapshot`, which rebuilds the classifier
+and compiles a private :class:`~repro.nn.inference.InferenceEngine`.
 
-* the worker is a separate OS **process**, spawned from a picklable
-  :class:`~repro.serve.registry.ModelSnapshot` (the registry's ``.npz``
-  weight payload); it rebuilds the classifier and compiles a private
-  :class:`~repro.nn.inference.InferenceEngine` on startup, sharing no
-  memory with the parent;
-* requests are coalesced **parent-side** and shipped as one message per
-  micro-batch over a duplex pipe (float32 image stack out, float32
-  probability matrix back), so IPC cost is paid per batch, not per
-  request;
-* batching is **busy-driven**: the first request of an idle replica is
-  dispatched immediately, and everything that arrives while the worker is
-  computing forms the next batch (up to ``max_batch_size``) -- burst
-  traffic coalesces into full batches with no straggler timer at all.
+The replica owns the worker's lifecycle: spawn with a ready handshake,
+respawn when the pipe turns out dead (the batch headed to the dead worker
+is sent again to the new one), and shutdown after the drain in ``stop()``
+-- a worker that dies during that drain fails the remaining requests with
+``RuntimeError`` instead of hanging them.  Workers start with ``fork``
+where available, else ``spawn``.
 
-The replica exposes the same surface as a shard-embedded
-:class:`~repro.serve.server.BatchedServer` (``submit``/``predict`` /
-``start``/``stop``/``restart``/``flush``/``warm``/``stats``/``alive``), so
-:class:`~repro.serve.shard.ShardedServer` embeds it unchanged under
-``mode="process"`` -- including transparent crash restart (a dead worker
-process is respawned and the stranded requests are re-dispatched) and
-graceful drain on ``stop()``.
-
-Thread-safety: ``submit`` may be called from any number of parent threads;
-replica state is guarded by one lock and the pipe is written only under
-it.  Lifecycle methods (``start``/``stop``/``restart``) belong to the
-owner.  Prediction caching runs parent-side with the same fingerprint
-semantics as the thread-mode server.
+Thread-safety: as :class:`~repro.serve.server.BatchedServer`.  The worker
+handle is swapped under a lock, so the scheduler thread and a
+``restart()`` replace a dead worker once.
 """
 
 from __future__ import annotations
@@ -41,42 +27,40 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import threading
-import time
-from concurrent.futures import Future
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..data.signs import SIGN_CLASSES
-from .autotune import BatchTuner
-from .batching import QueuedRequest
-from .cache import cache_metrics, image_fingerprint, make_prediction_cache
+# ``perfbench/tracing.py`` wraps ``procshard.image_fingerprint`` by name.
+from .cache import image_fingerprint  # noqa: F401
 from .registry import ModelSnapshot, classifier_from_snapshot
-from .types import PredictRequest, PredictResponse, ServerStats, UnknownModelError
+from .server import BatchedServer
 
 __all__ = ["ProcessReplica", "worker_main"]
 
 #: Seconds a freshly spawned worker gets to rebuild its classifier and
-#: compile its engine before ``start()`` gives up.
+#: compile its engine before the spawn gives up.
 _READY_TIMEOUT = 120.0
 
-#: Seconds ``stop()`` waits for the worker process to exit after the
+#: Seconds a shutdown waits for the worker process to exit after the
 #: shutdown sentinel before escalating to ``terminate()``.
 _JOIN_TIMEOUT = 10.0
 
+#: Seconds between liveness checks while a round trip waits for its answer.
+_POLL_INTERVAL = 0.1
 
-def worker_main(
-    snapshot: ModelSnapshot, connection, engine_batch_size: int = 32
-) -> None:
+_CONTEXT = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
+
+
+def worker_main(snapshot: ModelSnapshot, connection) -> None:
     """Entry point of one shard worker process.
 
     Rebuilds the classifier from the registry snapshot, compiles a private
     inference engine (randomized-smoothing variants predict through their
-    vectorized Monte-Carlo vote instead), then answers ``("batch", id,
-    images)`` messages with ``("result", id, probabilities)`` until the
-    ``None`` shutdown sentinel (or a closed pipe) arrives.  Per-batch
-    failures are reported as ``("error", id, message)`` without killing
-    the worker.
+    vectorized Monte-Carlo vote instead), sends ``("ready", pid)``, then
+    answers each image batch with ``("result", probabilities)`` until the
+    ``None`` shutdown sentinel (or a closed pipe) arrives.  A failed batch
+    is answered with ``("error", message)`` without killing the worker.
     """
 
     try:
@@ -86,521 +70,243 @@ def worker_main(
             from ..nn.inference import cached_engine
 
             engine = cached_engine(classifier.model)
-            warmup = np.zeros(
-                (1, 3, snapshot.image_size, snapshot.image_size), dtype=np.float32
+            engine.predict(
+                np.zeros((1, 3, snapshot.image_size, snapshot.image_size), dtype=np.float32)
             )
-            engine.predict(warmup)
         connection.send(("ready", os.getpid()))
     except Exception as error:  # startup failure: report, then exit
         try:
             connection.send(("fatal", repr(error)))
-        except (OSError, BrokenPipeError):
+        except OSError:
             pass
         return
 
     while True:
         try:
-            message = connection.recv()
+            images = connection.recv()
         except (EOFError, OSError):
             return
-        if message is None:
+        if images is None:
             return
-        _kind, batch_id, images = message
         try:
             if engine is not None:
-                probabilities = engine.predict_proba(
-                    images, batch_size=engine_batch_size
-                )
+                probabilities = engine.predict_proba(images, batch_size=len(images))
             else:
-                probabilities = classifier.predict_proba(
-                    np.asarray(images, dtype=np.float64)
-                )
-            connection.send(
-                ("result", batch_id, probabilities.astype(np.float32, copy=False))
-            )
+                probabilities = classifier.predict_proba(np.asarray(images, dtype=np.float64))
+            reply = ("result", probabilities.astype(np.float32, copy=False))
         except Exception as error:
-            try:
-                connection.send(("error", batch_id, repr(error)))
-            except (OSError, BrokenPipeError):
-                return
+            reply = ("error", repr(error))
+        try:
+            connection.send(reply)
+        except OSError:
+            return
 
 
-class ProcessReplica:
-    """One shard replica whose batched forwards run in a worker process.
-
-    Drop-in peer of a shard-embedded
-    :class:`~repro.serve.server.BatchedServer`: same submit/lifecycle/stats
-    surface, but the model lives in a child process compiled from a
-    :class:`~repro.serve.registry.ModelSnapshot`, so its forward passes
-    run on a separate interpreter (true parallelism across cores, no GIL
-    sharing with the ingest path).
+class ProcessReplica(BatchedServer):
+    """A :class:`~repro.serve.server.BatchedServer` whose forwards run in a worker process.
 
     Parameters
     ----------
     snapshot_factory:
         Zero-argument callable returning the
         :class:`~repro.serve.registry.ModelSnapshot` to spawn workers
-        from; called at every (re)start so restarts pick up reloaded
+        from; called at every (re)spawn so restarts pick up reloaded
         weights.  Typically ``lambda: registry.snapshot(name)``.
-    max_batch_size:
-        Upper bound on requests folded into one worker round trip.
-    cache_size:
-        Parent-side prediction-cache capacity; 0 disables caching.
-    cache_policy:
-        Admission policy of the parent-side cache: ``"lru"`` or
-        ``"tinylfu"`` (see :mod:`repro.serve.admission`).
-    autotune:
-        When True a parent-side :class:`~repro.serve.autotune.BatchTuner`
-        adjusts ``max_batch_size`` online from the dispatch-to-completion
-        latency of each worker round trip (process batching is
-        busy-driven, so there is no wait knob to tune).  The tuner lives
-        on the replica object (``self.tuner``), not the worker, so its
-        learned state survives worker crash-restarts.
-    class_names:
-        Human-readable class labels; defaults to the 18 LISA sign classes.
     allowed_models:
-        When given, requests for other variants are rejected with
-        :class:`~repro.serve.types.UnknownModelError` at submit time.
-    shard_id:
-        Identifier stamped on every response this replica produces.
-    mp_context:
-        ``multiprocessing`` context to spawn workers with; defaults to
-        ``fork`` where available (cheapest startup) and ``spawn``
-        elsewhere.
-    engine_batch_size:
-        Chunk size of the worker-side engine forward.
+        Variants this replica answers; defaults to the snapshot's own
+        model, since the worker holds that model's weights only.
+    settings:
+        The remaining :class:`~repro.serve.server.BatchedServer` keyword
+        arguments (``max_batch_size``, ``cache_size``, ``cache_policy``,
+        ``autotune``, ``tuner``, ``class_names``, ``shard_id``).  The
+        scheduler always runs in thread mode; when autotuning, the tuner
+        times each batch including its pipe round trip.
     """
 
     def __init__(
         self,
         snapshot_factory: Callable[[], ModelSnapshot],
         *,
-        max_batch_size: int = 32,
-        cache_size: int = 1024,
-        cache_policy: str = "lru",
-        autotune: bool = False,
-        class_names: Optional[Sequence[str]] = None,
         allowed_models: Optional[Sequence[str]] = None,
-        shard_id: Optional[str] = None,
-        mp_context=None,
-        engine_batch_size: int = 32,
+        **settings,
     ) -> None:
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be positive")
+        if allowed_models is None:
+            allowed_models = (snapshot_factory().name,)
+        super().__init__(None, mode="thread", allowed_models=allowed_models, **settings)
         self.snapshot_factory = snapshot_factory
-        self.max_batch_size = max_batch_size
-        # Starting point, not a clamp: widen the ladder to include an
-        # explicit max_batch_size above the default bound.
-        self.tuner = (
-            BatchTuner(
-                initial_batch_size=max_batch_size,
-                min_batch_size=min(2, max_batch_size),
-                max_batch_size=max(64, max_batch_size),
-            )
-            if autotune
-            else None
-        )
-        if self.tuner is not None:
-            self.max_batch_size = self.tuner.batch_size
-        self.cache = make_prediction_cache(cache_policy, cache_size)
-        self.class_names = (
-            list(class_names) if class_names is not None else list(SIGN_CLASSES)
-        )
-        self.allowed_models = (
-            frozenset(allowed_models) if allowed_models is not None else None
-        )
-        self.shard_id = shard_id
-        self.engine_batch_size = engine_batch_size
-        self.stats = ServerStats()
-        if mp_context is None:
-            methods = mp.get_all_start_methods()
-            mp_context = mp.get_context("fork" if "fork" in methods else "spawn")
-        self._ctx = mp_context
-        self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
-        self._buffer: List[QueuedRequest] = []
-        self._inflight: Dict[int, List[QueuedRequest]] = {}
-        self._dispatch_times: Dict[int, float] = {}
-        self._next_batch_id = 0
-        self._busy = False
-        self._running = False
-        self._worker_dead = False
+        self._worker_lock = threading.Lock()
         self._process: Optional[mp.process.BaseProcess] = None
         self._connection = None
-        self._receiver: Optional[threading.Thread] = None
+        self._stopping = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     @property
     def mode(self) -> str:
-        """Scheduler mode of this replica: always ``"process"``."""
+        """Replica mode: always ``"process"``."""
 
         return "process"
 
     @property
     def alive(self) -> bool:
-        """Whether the replica can accept work right now.
+        """Whether the scheduler is running and the worker process is up.
 
-        True between :meth:`start` and :meth:`stop` while the worker
-        process is running; a crashed (or never-started) worker reports
-        ``False`` so :class:`~repro.serve.shard.ShardedServer` revives it.
+        A crashed (or never-started) worker reports ``False`` so
+        :class:`~repro.serve.shard.ShardedServer` revives the replica.
         """
 
-        return bool(
-            self._running
-            and not self._worker_dead
-            and self._process is not None
-            and self._process.is_alive()
-        )
+        process = self._process
+        return super().alive and process is not None and process.is_alive()
 
     def start(self) -> "ProcessReplica":
-        """Spawn the worker process and wait for its ready handshake.
+        """Spawn the worker (waiting for its ready handshake), then start the scheduler.
 
-        No-op when already running.  Raises ``RuntimeError`` when the
-        worker fails to come up (snapshot rebuild or engine compile
-        error, or handshake timeout).
+        Raises ``RuntimeError`` when the worker fails to come up (snapshot
+        rebuild or engine compile error, or handshake timeout).
         """
 
-        with self._lock:
-            if self._running:
-                return self
+        with self._worker_lock:
+            if self._process is None:
+                self._spawn()
+        super().start()
+        return self
+
+    def stop(self) -> None:
+        """Drain every accepted request through the worker, then shut it down.
+
+        If the worker dies during the drain, the remaining requests fail
+        with ``RuntimeError`` instead of hanging (``stop`` never
+        respawns).  Requests submitted after ``stop`` raise
+        ``RuntimeError``.
+        """
+
+        self._stopping = True
+        try:
+            super().stop()
+        finally:
+            self._stopping = False
+            with self._worker_lock:
+                self._shutdown_worker()
+
+    def restart(self) -> "ProcessReplica":
+        """Revive the replica: respawn a dead worker, rebuild a dead scheduler.
+
+        Requests waiting in the scheduler keep their futures and are served
+        by the new worker; the cache, counters and tuner survive, and
+        ``stats.restarts`` counts the revival once.
+        """
+
+        if super().alive:  # only the worker can be down
+            self._replace_worker()
+            return self
+        with self._worker_lock:
+            self._shutdown_worker(force=True)
+        super().restart()  # its start() spawns a fresh worker
+        return self
+
+    def warm(self, model: Optional[str] = None) -> None:
+        """No-op: the worker compiles its engine when it is spawned."""
+
+    # ------------------------------------------------------------------
+    # The forward: one pipe round trip per micro-batch
+    # ------------------------------------------------------------------
+    def _forward(self, model_name: str, images: np.ndarray) -> np.ndarray:
+        images = images.astype(np.float32, copy=False)
+        with self._worker_lock:
+            process, connection = self._process, self._connection
+        try:
+            return _round_trip(process, connection, images)
+        except (EOFError, OSError) as error:
+            if self._stopping:
+                raise RuntimeError(
+                    "process shard worker died while draining; request was not "
+                    f"served (shard_id={self.shard_id!r})"
+                ) from error
+        # The worker died with this batch headed to it: respawn it (unless
+        # a restart() already did) and send the batch again.
+        return _round_trip(*self._replace_worker(failed_connection=connection), images)
+
+    # ------------------------------------------------------------------
+    # Worker handle (_spawn and _shutdown_worker run under _worker_lock)
+    # ------------------------------------------------------------------
+    def _replace_worker(self, failed_connection=None):
+        """Respawn the worker if it is dead or still on ``failed_connection``.
+
+        Returns the current ``(process, connection)`` pair; counts a
+        restart only when this call did the respawn.
+        """
+
+        with self._worker_lock:
+            process = self._process
+            if (
+                process is not None
+                and process.is_alive()
+                and self._connection is not failed_connection
+            ):
+                return process, self._connection  # healthy, or already replaced
+            self._shutdown_worker(force=True)
+            self._spawn()
+            worker = self._process, self._connection
+        self.stats.add("restarts")
+        return worker
+
+    def _spawn(self) -> None:
         snapshot = self.snapshot_factory()
-        parent_connection, child_connection = self._ctx.Pipe()
-        process = self._ctx.Process(
+        connection, child_connection = _CONTEXT.Pipe()
+        process = _CONTEXT.Process(
             target=worker_main,
-            args=(snapshot, child_connection, self.engine_batch_size),
+            args=(snapshot, child_connection),
             daemon=True,
             name=f"proc-shard-{self.shard_id or snapshot.name}",
         )
         process.start()
         child_connection.close()
-        if not parent_connection.poll(_READY_TIMEOUT):
-            process.terminate()
-            raise RuntimeError(
-                f"process shard worker for {snapshot.name!r} did not come up "
-                f"within {_READY_TIMEOUT:.0f}s"
-            )
-        status = parent_connection.recv()
+        status = ("fatal", f"no ready handshake within {_READY_TIMEOUT:.0f}s")
+        try:
+            if connection.poll(_READY_TIMEOUT):
+                status = connection.recv()
+        except (EOFError, OSError):
+            status = ("fatal", "worker exited during startup")
         if status[0] != "ready":
+            process.terminate()
             process.join(timeout=_JOIN_TIMEOUT)
+            connection.close()
             raise RuntimeError(
                 f"process shard worker for {snapshot.name!r} failed to start: {status[1]}"
             )
-        receiver = threading.Thread(
-            target=self._receive_loop,
-            args=(parent_connection,),
-            name=f"proc-shard-recv-{self.shard_id or snapshot.name}",
-            daemon=True,
-        )
-        with self._lock:
-            self._process = process
-            self._connection = parent_connection
-            self._receiver = receiver
-            self._running = True
-            self._worker_dead = False
-            self._busy = False
-        receiver.start()
-        with self._lock:
-            if self._buffer:
-                self._dispatch_locked()
-        return self
-
-    def stop(self) -> None:
-        """Gracefully drain pending requests, then stop the worker process.
-
-        Every request accepted before ``stop`` resolves its future: with a
-        healthy worker it resolves normally; if the worker dies during the
-        drain the remaining futures fail with ``RuntimeError`` instead of
-        hanging their waiters (``stop`` is terminal -- it never restarts).
-        Requests submitted after ``stop`` raise ``RuntimeError``.
-        """
-
-        with self._idle:
-            if not self._running:
-                return
-            self._running = False
-            while (self._buffer or self._inflight) and not self._worker_dead:
-                self._idle.wait(timeout=0.1)
-                if self._process is not None and not self._process.is_alive():
-                    break
-            stranded: List[QueuedRequest] = []
-            for batch_id in sorted(self._inflight):
-                stranded.extend(self._inflight.pop(batch_id))
-            self._dispatch_times.clear()
-            stranded.extend(self._buffer)
-            self._buffer = []
-        for item in stranded:
-            if not item.future.done():
-                item.future.set_exception(
-                    RuntimeError(
-                        "process shard worker died while draining; request "
-                        "was not served (shard_id="
-                        f"{self.shard_id!r})"
-                    )
-                )
-        self._shutdown_worker()
-
-    def restart(self) -> "ProcessReplica":
-        """Replace a dead worker process and re-dispatch stranded requests.
-
-        Mirrors :meth:`repro.serve.server.BatchedServer.restart`: the
-        cache and counters survive, ``stats.restarts`` is incremented, and
-        every request that was buffered or in flight when the worker died
-        is adopted by the fresh worker so its future eventually resolves.
-        """
-
-        with self._lock:
-            stranded: List[QueuedRequest] = []
-            for batch_id in sorted(self._inflight):
-                stranded.extend(self._inflight.pop(batch_id))
-            self._dispatch_times.clear()
-            stranded.extend(self._buffer)
-            self._buffer = []
-            self._busy = False
-            self._running = False
-        self._shutdown_worker(force=True)
-        self.stats.restarts += 1
-        self.start()
-        if stranded:
-            with self._lock:
-                self._buffer[:0] = stranded
-                if not self._busy:
-                    self._dispatch_locked()
-        return self
-
-    def flush(self) -> None:
-        """No-op: process replicas dispatch eagerly (API parity hook)."""
-
-    def warm(self, model: Optional[str] = None) -> None:
-        """No-op: the worker compiles its engine during :meth:`start`."""
-
-    def metrics(self) -> dict:
-        """Live serving metrics of this replica (JSON-friendly).
-
-        Same envelope as :meth:`repro.serve.server.BatchedServer.metrics`
-        -- stats counters, cache counters, tuner snapshot -- so sharded
-        ``metrics()`` aggregation and the HTTP gateway treat thread and
-        process replicas identically.
-        """
-
-        return {
-            "mode": self.mode,
-            "alive": self.alive,
-            "shard_id": self.shard_id,
-            "stats": self.stats.as_dict(),
-            "cache": cache_metrics(self.cache),
-            "autotune": self.tuner.as_dict() if self.tuner is not None else None,
-        }
+        self._process, self._connection = process, connection
 
     def _shutdown_worker(self, force: bool = False) -> None:
-        connection, process, receiver = self._connection, self._process, self._receiver
-        self._connection = None
-        self._process = None
-        self._receiver = None
+        process, connection = self._process, self._connection
+        self._process = self._connection = None
         if connection is not None:
             try:
                 connection.send(None)
-            except (OSError, BrokenPipeError):
+            except OSError:
                 pass
+            connection.close()
         if process is not None:
             process.join(timeout=0.1 if force else _JOIN_TIMEOUT)
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=_JOIN_TIMEOUT)
-        if connection is not None:
-            connection.close()  # unblocks the receiver thread
-        if receiver is not None and receiver is not threading.current_thread():
-            receiver.join(timeout=_JOIN_TIMEOUT)
 
-    def __enter__(self) -> "ProcessReplica":
-        return self.start()
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+def _round_trip(process, connection, images: np.ndarray) -> np.ndarray:
+    """Send one batch to a worker and wait for its probabilities.
 
-    # ------------------------------------------------------------------
-    # Request path
-    # ------------------------------------------------------------------
-    def submit(self, request: PredictRequest) -> "Future[PredictResponse]":
-        """Submit one request; returns a ``Future[PredictResponse]``.
+    Raises ``EOFError``/``OSError`` when the worker is gone, checking its
+    liveness while it waits so a dead worker cannot hang the caller.
+    """
 
-        Cache hits resolve immediately; misses resolve when the worker
-        round trip carrying the request completes.  Raises
-        :class:`~repro.serve.types.UnknownModelError` when the replica is
-        pinned to other variants, ``RuntimeError`` when the replica is not
-        running.  Safe to call from any thread.
-        """
-
-        if self.allowed_models is not None and request.model not in self.allowed_models:
-            self.stats.rejected += 1
-            raise UnknownModelError(request.model, self.allowed_models)
-        self.stats.record_request(request.model)
-        started = time.perf_counter()
-        if self.cache.enabled:
-            key = image_fingerprint(request.model, request.image)
-            probabilities = self.cache.get(key)
-            if probabilities is not None:
-                self.stats.cache_hits += 1
-                future: "Future[PredictResponse]" = Future()
-                future.set_result(
-                    self._build_response(
-                        request,
-                        probabilities,
-                        latency_ms=(time.perf_counter() - started) * 1000.0,
-                        cache_hit=True,
-                        batch_size=1,
-                    )
-                )
-                return future
-        # (No tuner.record_arrival here: process batching is busy-driven,
-        # there is no wait knob for the arrival-rate estimate to feed, so
-        # the bookkeeping would be pure per-submit lock contention.)
-        item = QueuedRequest(request)
-        with self._lock:
-            if not self._running or self._worker_dead:
-                raise RuntimeError(
-                    "process-mode replica is not running; call start() (or restart())"
-                )
-            self._buffer.append(item)
-            if not self._busy:
-                self._dispatch_locked()
-        return item.future
-
-    def predict(self, image: np.ndarray, model: str = "baseline") -> PredictResponse:
-        """Synchronous convenience: submit one image and wait for the answer."""
-
-        return self.submit(PredictRequest(image=image, model=model)).result()
-
-    def predict_many(
-        self, images: np.ndarray, model: str = "baseline"
-    ) -> List[PredictResponse]:
-        """Submit a stack of images and wait for all responses (in order)."""
-
-        futures = [
-            self.submit(PredictRequest(image=image, model=model)) for image in images
-        ]
-        return [future.result() for future in futures]
-
-    # ------------------------------------------------------------------
-    # Parent-side batching + response plumbing
-    # ------------------------------------------------------------------
-    def _dispatch_locked(self) -> None:
-        """Ship the next micro-batch to the worker (caller holds the lock).
-
-        At most one batch is outstanding at a time: the worker computes
-        batch *N* while requests for batch *N+1* accumulate parent-side.
-        """
-
-        if not self._buffer or self._connection is None:
-            return
-        batch = self._buffer[: self.max_batch_size]
-        del self._buffer[: len(batch)]
-        self._next_batch_id += 1
-        batch_id = self._next_batch_id
-        self._inflight[batch_id] = batch
-        self._dispatch_times[batch_id] = time.perf_counter()
-        images = np.stack([item.request.image for item in batch]).astype(
-            np.float32, copy=False
-        )
-        self._busy = True
-        try:
-            self._connection.send(("batch", batch_id, images))
-        except (OSError, BrokenPipeError):
-            self._worker_dead = True
-            self._busy = False
-
-    def _receive_loop(self, connection) -> None:
-        while True:
-            try:
-                message = connection.recv()
-            except (EOFError, OSError):
-                with self._idle:
-                    self._worker_dead = True
-                    self._busy = False
-                    self._idle.notify_all()
-                return
-            kind = message[0]
-            if kind == "result":
-                self._complete(message[1], message[2], error=None)
-            elif kind == "error":
-                self._complete(message[1], None, error=RuntimeError(message[2]))
-
-    def _complete(
-        self,
-        batch_id: int,
-        probabilities: Optional[np.ndarray],
-        error: Optional[BaseException],
-    ) -> None:
-        now = time.perf_counter()
-        with self._lock:
-            batch = self._inflight.pop(batch_id, [])
-            dispatched_at = self._dispatch_times.pop(batch_id, None)
-            if probabilities is not None and batch:
-                self.stats.record_batch(len(batch))
-                if self.tuner is not None and dispatched_at is not None:
-                    # The round trip (IPC + worker forward) is the batch
-                    # latency the controller optimizes in process mode.
-                    self.tuner.record_batch(len(batch), now - dispatched_at)
-                    self.max_batch_size = self.tuner.batch_size
-            # Feed the worker its next batch before resolving futures, so
-            # it computes while the parent runs response callbacks.
-            if self._buffer and not self._worker_dead:
-                self._dispatch_locked()
-            else:
-                self._busy = False
-        for position, item in enumerate(batch):
-            if error is not None:
-                if not item.future.done():
-                    item.future.set_exception(error)
-                continue
-            probability_row = probabilities[position]
-            response = self._build_response(
-                item.request,
-                probability_row,
-                latency_ms=(now - item.submitted_at) * 1000.0,
-                cache_hit=False,
-                batch_size=len(batch),
-            )
-            if self.cache.enabled:
-                self.cache.put(
-                    image_fingerprint(item.request.model, item.request.image),
-                    probability_row,
-                )
-            if not item.future.done():  # stop() may have failed it already
-                item.future.set_result(response)
-        with self._idle:
-            if not self._buffer and not self._inflight:
-                self._idle.notify_all()
-
-    def _build_response(
-        self,
-        request: PredictRequest,
-        probabilities: np.ndarray,
-        latency_ms: float,
-        cache_hit: bool,
-        batch_size: int,
-    ) -> PredictResponse:
-        class_index = int(np.argmax(probabilities))
-        class_name = (
-            self.class_names[class_index]
-            if 0 <= class_index < len(self.class_names)
-            else str(class_index)
-        )
-        return PredictResponse(
-            request_id=request.request_id,
-            model=request.model,
-            class_index=class_index,
-            class_name=class_name,
-            probabilities=np.asarray(probabilities),
-            latency_ms=latency_ms,
-            cache_hit=cache_hit,
-            batch_size=batch_size,
-            shard_id=self.shard_id,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ProcessReplica(shard_id={self.shard_id!r}, alive={self.alive}, "
-            f"max_batch_size={self.max_batch_size})"
-        )
+    if connection is None:
+        raise EOFError("no worker process")
+    connection.send(images)
+    while not connection.poll(_POLL_INTERVAL):
+        if not process.is_alive():
+            raise EOFError("worker process exited")
+    kind, payload = connection.recv()
+    if kind == "error":
+        raise RuntimeError(payload)
+    return payload

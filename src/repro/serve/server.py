@@ -1,37 +1,32 @@
-"""The single-queue inference server: registry + prediction cache + micro-batcher.
+"""The replica core of the serving layer: registry + prediction cache + micro-batcher.
 
-:class:`BatchedServer` is the workhorse of the serving subsystem.  A
-request flows through three stages:
+:class:`BatchedServer` is the one request path of the serving subsystem:
 
-1. **Cache probe** -- the content hash of the (model, image) pair is looked
-   up in the LRU :class:`~repro.serve.cache.PredictionCache`; a hit is
-   answered immediately without touching the scheduler.
-2. **Micro-batching** -- misses are enqueued on the
-   :class:`~repro.serve.batching.MicroBatcher`, which coalesces them into
-   batches of up to ``max_batch_size`` images.
-3. **Batched forward** -- each batch runs through the compiled
-   :class:`~repro.nn.inference.InferenceEngine` of the requested variant
-   (one gradient-free float32 forward per batch); randomized-smoothing
-   variants fall back to the classifier's Monte-Carlo vote, which cannot
-   be expressed as a single forward.
+1. **Validation** -- the model name is checked against ``allowed_models``
+   (or, unpinned, against what the registry can serve).
+2. **Cache probe** -- the content hash of the (model, image) pair is looked
+   up in the :class:`~repro.serve.cache.PredictionCache`; a hit is
+   answered at once.  A miss carries its key to the batch, so the answer
+   is inserted without hashing the image again.
+3. **Micro-batching** -- misses queue in the
+   :class:`~repro.serve.batching.MicroBatcher`, whose busy-driven worker
+   runs each request at once together with whatever queued behind the
+   previous batch (up to ``max_batch_size`` images).
+4. **Batched forward** -- each batch runs through one method,
+   :meth:`BatchedServer._forward`: here the variant's compiled
+   :class:`~repro.nn.inference.InferenceEngine` (or the Monte-Carlo vote
+   of a randomized-smoothing variant); in
+   :class:`~repro.serve.procshard.ProcessReplica` a pipe round trip to a
+   worker process.
 
-Results are written back to the cache, so repeated traffic gets cheaper
-over time.
-
-Standalone, a :class:`BatchedServer` is the PR 1 *single-queue* server:
-one scheduler and one cache shared by every model it is asked for.  Under
-:class:`~repro.serve.shard.ShardedServer` the very same class is embedded
-once per shard replica -- pinned to a single variant via ``allowed_models``,
-stamped with a ``shard_id``, owning a private scheduler and cache.  That is
-the "single-queue server as one shard specialization" refactor: sharding
-composes this class instead of duplicating it.
+Standalone, a :class:`BatchedServer` is the *single-queue* server shared by
+every model it is asked for.  :class:`~repro.serve.shard.ShardedServer`
+embeds one per shard replica, pinned to a variant via ``allowed_models``
+and stamped with a ``shard_id``.
 
 Thread-safety: ``submit`` may be called from any number of threads; the
-cache and the scheduler queue are internally locked.  ``restart`` and
-``stop`` are owner operations and must not race each other.
-
-``InferenceServer`` remains as a backwards-compatible alias of
-:class:`BatchedServer`.
+cache, the scheduler queue and the stats are internally locked.
+``restart`` and ``stop`` are owner operations and must not race each other.
 """
 
 from __future__ import annotations
@@ -49,7 +44,7 @@ from .cache import cache_metrics, image_fingerprint, make_prediction_cache
 from .registry import ModelRegistry
 from .types import PredictRequest, PredictResponse, ServerStats, UnknownModelError
 
-__all__ = ["BatchedServer", "InferenceServer"]
+__all__ = ["BatchedServer"]
 
 
 class BatchedServer:
@@ -58,12 +53,11 @@ class BatchedServer:
     Parameters
     ----------
     registry:
-        Source of named model variants (trained or loaded on first use).
+        Source of named model variants (trained or loaded on first use);
+        ``None`` in a :class:`~repro.serve.procshard.ProcessReplica`,
+        whose worker process holds the weights.
     max_batch_size:
         Upper bound on images per batched forward pass.
-    max_wait_ms:
-        Milliseconds the thread-mode scheduler waits for stragglers after
-        the first request of a batch (ignored in sync mode).
     cache_size:
         Prediction-cache capacity; 0 disables caching.
     cache_policy:
@@ -71,21 +65,21 @@ class BatchedServer:
         (frequency-gated admission that survives adversarial unique-image
         spam -- see :mod:`repro.serve.admission`).
     mode:
-        ``"thread"`` for the background-worker scheduler, ``"sync"`` for
-        the deterministic in-process scheduler.
+        ``"thread"`` for the busy-driven background-worker scheduler,
+        ``"sync"`` for the deterministic in-process scheduler.
     autotune:
         When True, a per-server :class:`~repro.serve.autotune.BatchTuner`
-        adjusts ``max_batch_size``/``max_wait`` online from observed
-        arrival rate and per-batch latency (the constructor values become
-        the tuner's starting point).  The tuner -- exposed as
-        ``self.tuner`` -- survives :meth:`restart`, so a revived scheduler
-        resumes from the tuned settings instead of relearning.
+        adjusts ``max_batch_size`` online from per-batch latency (the
+        constructor value becomes the tuner's starting point).  The tuner
+        -- exposed as ``self.tuner`` -- survives :meth:`restart`, so a
+        revived scheduler resumes from the tuned settings instead of
+        relearning.
     tuner:
         A pre-configured :class:`~repro.serve.autotune.BatchTuner` to use
         instead of the default one ``autotune=True`` would build -- for
         callers that need non-default controller constants (epoch sizing,
         dead band, hold length).  Supplying a tuner implies autotuning;
-        its own initial values win over ``max_batch_size``/``max_wait_ms``.
+        its own initial batch size wins over ``max_batch_size``.
     class_names:
         Human-readable class labels; defaults to the 18 LISA sign classes.
     allowed_models:
@@ -100,10 +94,9 @@ class BatchedServer:
 
     def __init__(
         self,
-        registry: ModelRegistry,
+        registry: Optional[ModelRegistry],
         *,
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
         cache_size: int = 1024,
         cache_policy: str = "lru",
         mode: str = "thread",
@@ -119,24 +112,19 @@ class BatchedServer:
         self.allowed_models = frozenset(allowed_models) if allowed_models is not None else None
         self.shard_id = shard_id
         self.stats = ServerStats()
-        # The constructor values are the tuner's *starting point*, so the
-        # ladder/wait bounds widen to include them when they sit outside
-        # the defaults -- autotune must never silently clamp an explicit
+        # The constructor value is the tuner's *starting point*, so the
+        # ladder widens to include it when it sits outside the default
+        # bounds -- autotune must never silently clamp an explicit
         # configuration.  An injected tuner is used as given.
-        max_wait_s = max_wait_ms / 1000.0
         if tuner is None and autotune:
             tuner = BatchTuner(
                 initial_batch_size=max_batch_size,
-                initial_wait=max_wait_s,
                 min_batch_size=min(2, max_batch_size),
                 max_batch_size=max(64, max_batch_size),
-                min_wait=min(0.0005, max_wait_s),
-                max_wait=max(0.010, max_wait_s),
             )
         self.tuner = tuner
         self._batcher_settings = {
             "max_batch_size": max_batch_size,
-            "max_wait": max_wait_ms / 1000.0,
             "mode": mode,
             "tuner": self.tuner,
         }
@@ -150,6 +138,12 @@ class BatchedServer:
         """Scheduler mode, ``"thread"`` or ``"sync"``."""
 
         return self.batcher.mode
+
+    @property
+    def max_batch_size(self) -> int:
+        """The scheduler's current batch cap (follows the tuner when autotuning)."""
+
+        return self.batcher.max_batch_size
 
     @property
     def alive(self) -> bool:
@@ -196,7 +190,7 @@ class BatchedServer:
             pass
         stranded = self.batcher.take_pending()
         self.batcher = MicroBatcher(self._run_batch, **self._batcher_settings)
-        self.stats.restarts += 1
+        self.stats.add("restarts")
         self.start()
         if stranded:
             self.batcher.adopt(stranded)
@@ -260,26 +254,26 @@ class BatchedServer:
 
         if self.allowed_models is not None:
             if request.model not in self.allowed_models:
-                self.stats.rejected += 1
+                self.stats.add("rejected")
                 raise UnknownModelError(request.model, self.allowed_models)
         elif not self.registry.can_serve(request.model):
-            # Unrestricted servers used to accept any name and fail the
-            # whole micro-batch at forward time; validating here fails only
-            # the offending request, keeps the wire fronts' 404 mapping
-            # honest, and stops client-controlled garbage names from
-            # growing the per-model stats without bound.
-            self.stats.rejected += 1
+            # Validating here fails only the offending request (not its
+            # whole micro-batch at forward time), keeps the wire fronts'
+            # 404 mapping honest, and stops client-controlled garbage
+            # names from growing the per-model stats without bound.
+            self.stats.add("rejected")
             raise UnknownModelError(
                 request.model,
                 set(self.registry.loaded()) | self.registry.catalog_names(),
             )
         self.stats.record_request(request.model)
         started = time.perf_counter()
+        key = None
         if self.cache.enabled:
             key = image_fingerprint(request.model, request.image)
             probabilities = self.cache.get(key)
             if probabilities is not None:
-                self.stats.cache_hits += 1
+                self.stats.add("cache_hits")
                 future: "Future[PredictResponse]" = Future()
                 future.set_result(
                     self._build_response(
@@ -291,14 +285,13 @@ class BatchedServer:
                     )
                 )
                 return future
-        return self.batcher.submit(request)
+        return self.batcher.submit(request, cache_key=key)
 
     def predict(self, image: np.ndarray, model: str = "baseline") -> PredictResponse:
         """Synchronous convenience: submit one image and wait for the answer."""
 
         future = self.submit(PredictRequest(image=image, model=model))
-        if self.mode == "sync":
-            self.flush()
+        self.flush()
         return future.result()
 
     def predict_many(
@@ -307,42 +300,48 @@ class BatchedServer:
         """Submit a stack of images and wait for all responses (in order)."""
 
         futures = [self.submit(PredictRequest(image=image, model=model)) for image in images]
-        if self.mode == "sync":
-            self.flush()
+        self.flush()
         return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
     # Batch execution (called by the scheduler)
     # ------------------------------------------------------------------
-    def _run_batch(
-        self, model_name: str, items: Sequence[QueuedRequest]
-    ) -> List[PredictResponse]:
+    def _forward(self, model_name: str, images: np.ndarray) -> np.ndarray:
+        """Class probabilities of one ``(N, C, H, W)`` batch, one row per image.
+
+        The executor of this replica: the variant's compiled engine in the
+        calling thread, or the Monte-Carlo vote for smoothing variants.
+        Subclasses override it to run the forward elsewhere.
+        """
+
         classifier = self.registry.get(model_name)
-        images = np.stack([item.request.image for item in items])
         if classifier.smoother is not None:
             # The Monte-Carlo vote is not a single forward pass; serve it
             # through the classifier's own (chunked) probability path.
-            probabilities = classifier.predict_proba(images)
-        else:
-            engine = self.registry.engine(model_name)
-            probabilities = engine.predict_proba(images, batch_size=len(images))
+            return classifier.predict_proba(images)
+        return self.registry.engine(model_name).predict_proba(images, batch_size=len(images))
+
+    def _run_batch(
+        self, model_name: str, items: Sequence[QueuedRequest]
+    ) -> List[PredictResponse]:
+        probabilities = self._forward(
+            model_name, np.stack([item.request.image for item in items])
+        )
         now = time.perf_counter()
         self.stats.record_batch(len(items))
         responses: List[PredictResponse] = []
         for item, probability_row in zip(items, probabilities):
-            response = self._build_response(
-                item.request,
-                probability_row,
-                latency_ms=(now - item.submitted_at) * 1000.0,
-                cache_hit=False,
-                batch_size=len(items),
-            )
-            responses.append(response)
-            if self.cache.enabled:
-                self.cache.put(
-                    image_fingerprint(item.request.model, item.request.image),
+            responses.append(
+                self._build_response(
+                    item.request,
                     probability_row,
+                    latency_ms=(now - item.submitted_at) * 1000.0,
+                    cache_hit=False,
+                    batch_size=len(items),
                 )
+            )
+            if item.cache_key is not None:
+                self.cache.put(item.cache_key, probability_row)
         return responses
 
     def _build_response(
@@ -370,9 +369,3 @@ class BatchedServer:
             batch_size=batch_size,
             shard_id=self.shard_id,
         )
-
-
-#: Backwards-compatible name from PR 1, kept so existing imports and the
-#: pickled/documented API keep working.  New code should say
-#: :class:`BatchedServer`.
-InferenceServer = BatchedServer

@@ -18,15 +18,15 @@ gets one or more *shard replicas* -- each replica a private
 prediction cache, all sharing one :class:`~repro.serve.registry.ModelRegistry`
 entry for the weights.  A pluggable :class:`RoutingPolicy` (round-robin or
 least-loaded) picks the replica for each request.  With ``mode="process"``
-each replica is instead a :class:`~repro.serve.procshard.ProcessReplica`:
-a worker *process* compiled from the registry's ``.npz`` snapshot, giving
-replicas truly parallel forwards instead of GIL-interleaved ones (see
-``docs/performance.md``).
+each replica is a :class:`~repro.serve.procshard.ProcessReplica` -- the
+same replica core, whose forwards run in a worker *process* compiled from
+the registry's ``.npz`` snapshot, giving replicas truly parallel forwards
+instead of GIL-interleaved ones (see ``docs/performance.md``).
 
-Failure handling: a replica whose scheduler worker has died is restarted
-transparently on the next request routed to it (``stats.restarts`` counts
-revivals).  Shutdown is a graceful drain -- every request accepted before
-``stop()`` resolves its future.
+Failure handling: a replica whose scheduler thread or worker process has
+died is restarted transparently on the next request routed to it
+(``stats.restarts`` counts revivals).  Shutdown is a graceful drain --
+every request accepted before ``stop()`` resolves its future.
 
 Thread-safety: ``submit`` may be called from any number of threads; routing
 state (round-robin cursors, in-flight counters) is guarded by a lock per
@@ -216,20 +216,20 @@ class ShardedServer:
     autotune:
         When True every replica owns a private
         :class:`~repro.serve.autotune.BatchTuner` that adjusts its
-        ``max_batch_size``/``max_wait`` online -- per-replica, because
-        each shard sees different traffic.  Tuner state survives replica
-        crash-restarts (thread and process modes alike).
-    max_batch_size, max_wait_ms, cache_size, mode, class_names:
+        ``max_batch_size`` online -- per-replica, because each shard sees
+        different traffic.  Tuner state survives replica crash-restarts
+        (thread and process modes alike).
+    max_batch_size, cache_size, mode, class_names:
         Forwarded to every embedded replica server; note ``cache_size`` is
         *per replica* -- sharding multiplies total cache capacity, which is
         what isolates each variant's working set.  ``mode`` picks the
-        replica implementation: ``"thread"`` / ``"sync"`` embed a
-        :class:`~repro.serve.server.BatchedServer`, while ``"process"``
-        embeds a :class:`~repro.serve.procshard.ProcessReplica` -- a worker
-        *process* that compiles its own engine from the registry's ``.npz``
+        replica's executor: ``"thread"`` / ``"sync"`` embed a
+        :class:`~repro.serve.server.BatchedServer` running forwards
+        in-process, while ``"process"`` embeds a
+        :class:`~repro.serve.procshard.ProcessReplica` whose worker
+        *process* compiles its own engine from the registry's ``.npz``
         snapshot, so replica forwards run truly in parallel instead of
-        sharing the parent's GIL (``max_wait_ms`` is ignored there: process
-        batches are busy-driven).  Process-mode workers need weights at
+        sharing the parent's GIL.  Process-mode workers need weights at
         spawn time, so ``start()`` materializes every served variant
         eagerly.
 
@@ -245,7 +245,6 @@ class ShardedServer:
         replicas: int = 1,
         routing: Union[str, RoutingPolicy] = "round_robin",
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
         cache_size: int = 1024,
         cache_policy: str = "lru",
         mode: str = "thread",
@@ -274,7 +273,6 @@ class ShardedServer:
         self._mode = mode
         self._replica_settings = {
             "max_batch_size": max_batch_size,
-            "max_wait_ms": max_wait_ms,
             "cache_size": cache_size,
             "cache_policy": cache_policy,
             "autotune": autotune,
@@ -291,32 +289,15 @@ class ShardedServer:
             ]
             self._shard_locks[model] = threading.Lock()
 
-    def _build_replica_server(self, model: str, index: int):
+    def _build_replica_server(self, model: str, index: int) -> BatchedServer:
         """One pinned replica server for ``model``: batched (thread/sync) or process."""
 
-        if self._mode == "process":
-            return ProcessReplica(
-                lambda name=model: self.registry.snapshot(name),
-                max_batch_size=self._replica_settings["max_batch_size"],
-                cache_size=self._replica_settings["cache_size"],
-                cache_policy=self._replica_settings["cache_policy"],
-                autotune=self._replica_settings["autotune"],
-                class_names=self._replica_settings["class_names"],
-                allowed_models=(model,),
-                shard_id=f"{model}/{index}",
-            )
-        return BatchedServer(
-            self.registry,
-            max_batch_size=self._replica_settings["max_batch_size"],
-            max_wait_ms=self._replica_settings["max_wait_ms"],
-            cache_size=self._replica_settings["cache_size"],
-            cache_policy=self._replica_settings["cache_policy"],
-            mode=self._mode,
-            autotune=self._replica_settings["autotune"],
-            class_names=self._replica_settings["class_names"],
-            allowed_models=(model,),
-            shard_id=f"{model}/{index}",
+        settings = dict(
+            self._replica_settings, allowed_models=(model,), shard_id=f"{model}/{index}"
         )
+        if self._mode == "process":
+            return ProcessReplica(lambda name=model: self.registry.snapshot(name), **settings)
+        return BatchedServer(self.registry, mode=self._mode, **settings)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -359,7 +340,7 @@ class ShardedServer:
             replica.server.stats for replica in self.all_replicas
         )
         with self._rejected_lock:
-            total.rejected += self._rejected
+            total.add("rejected", self._rejected)
         return total
 
     def metrics(self) -> Dict[str, object]:
@@ -467,16 +448,14 @@ class ShardedServer:
         """Synchronous convenience: submit one image and wait for the answer."""
 
         future = self.submit(PredictRequest(image=image, model=model))
-        if self.mode == "sync":
-            self.flush()
+        self.flush()
         return future.result()
 
     def predict_many(self, images: np.ndarray, model: str) -> List[PredictResponse]:
         """Submit a stack of images to one model and wait for all responses."""
 
         futures = [self.submit(PredictRequest(image=image, model=model)) for image in images]
-        if self.mode == "sync":
-            self.flush()
+        self.flush()
         return [future.result() for future in futures]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

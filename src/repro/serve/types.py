@@ -11,17 +11,17 @@ it).  :class:`ServerStats` aggregates counters over one server's lifetime;
 
 Thread-safety: request/response objects are plain value carriers and are
 never mutated by the serving layer after construction; they may be shared
-freely across threads.  ``ServerStats`` counters are bumped without a lock
-from whichever thread performs the event (submitters bump ``requests`` /
-``cache_hits`` / ``rejected``, the scheduler worker bumps the batch
-counters), so they are monitoring-grade approximations: under concurrent
-submitters a race can lose an increment, and readers may observe values
-mid-update.  Nothing in the serving layer makes control-flow decisions
-from these counters.
+freely across threads.  ``ServerStats`` counters are bumped from whichever
+thread performs the event (submitters bump ``requests`` / ``cache_hits`` /
+``rejected``, the scheduler worker bumps the batch counters); every update
+and every read in :meth:`ServerStats.as_dict` / :meth:`ServerStats.aggregate`
+holds the instance's lock, so the counts are exact and each snapshot is
+consistent.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
@@ -131,13 +131,19 @@ class PredictResponse:
         }
 
 
+#: The scalar counters of :class:`ServerStats`, summed by :meth:`ServerStats.aggregate`.
+_COUNTERS = ("requests", "cache_hits", "batches", "batched_images", "rejected", "restarts")
+
+
 @dataclass
 class ServerStats:
     """Lifetime counters of one serving queue.
 
-    Each :class:`~repro.serve.server.BatchedServer` (standalone or embedded
-    as a shard replica) owns one instance; sharded deployments merge the
-    per-replica instances with :meth:`aggregate`.
+    Each :class:`~repro.serve.server.BatchedServer` (standalone, embedded
+    as a shard replica, or as a process replica) owns one instance;
+    sharded deployments merge the per-replica instances with
+    :meth:`aggregate`.  Update the counters only through the ``record_*``
+    methods and :meth:`add`, which hold the instance's lock.
     """
 
     requests: int = 0
@@ -148,48 +154,61 @@ class ServerStats:
     restarts: int = 0
     batch_sizes: Dict[int, int] = field(default_factory=dict)
     per_model: Dict[str, int] = field(default_factory=dict)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def record_request(self, model: str) -> None:
         """Record one accepted request for ``model`` (feeds the per-model counts)."""
 
-        self.requests += 1
-        self.per_model[model] = self.per_model.get(model, 0) + 1
+        with self._lock:
+            self.requests += 1
+            self.per_model[model] = self.per_model.get(model, 0) + 1
 
     def record_batch(self, size: int) -> None:
         """Record one executed micro-batch of ``size`` images."""
 
-        self.batches += 1
-        self.batched_images += size
-        self.batch_sizes[size] = self.batch_sizes.get(size, 0) + 1
+        with self._lock:
+            self.batches += 1
+            self.batched_images += size
+            self.batch_sizes[size] = self.batch_sizes.get(size, 0) + 1
+
+    def add(self, counter: str, amount: int = 1) -> None:
+        """Add ``amount`` to one scalar counter, e.g. ``"cache_hits"`` or ``"restarts"``."""
+
+        with self._lock:
+            setattr(self, counter, getattr(self, counter) + amount)
 
     @property
     def cache_hit_rate(self) -> float:
         """Fraction of requests answered from the cache."""
 
-        return self.cache_hits / self.requests if self.requests else 0.0
+        with self._lock:
+            return self.cache_hits / self.requests if self.requests else 0.0
 
     @property
     def mean_batch_size(self) -> float:
         """Average number of images per executed micro-batch."""
 
-        return self.batched_images / self.batches if self.batches else 0.0
+        with self._lock:
+            return self.batched_images / self.batches if self.batches else 0.0
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-friendly summary."""
+        """JSON-friendly summary, read from one consistent snapshot."""
 
+        snapshot = self.aggregate([self])
         return {
-            "requests": self.requests,
-            "cache_hits": self.cache_hits,
-            "cache_hit_rate": self.cache_hit_rate,
-            "batches": self.batches,
-            "batched_images": self.batched_images,
-            "mean_batch_size": self.mean_batch_size,
-            "rejected": self.rejected,
-            "restarts": self.restarts,
-            # Snapshots: workers may be inserting keys concurrently.
-            "per_model_requests": dict(self.per_model),
+            "requests": snapshot.requests,
+            "cache_hits": snapshot.cache_hits,
+            "cache_hit_rate": snapshot.cache_hit_rate,
+            "batches": snapshot.batches,
+            "batched_images": snapshot.batched_images,
+            "mean_batch_size": snapshot.mean_batch_size,
+            "rejected": snapshot.rejected,
+            "restarts": snapshot.restarts,
+            "per_model_requests": snapshot.per_model,
             "batch_size_histogram": {
-                str(size): count for size, count in sorted(dict(self.batch_sizes).items())
+                str(size): count for size, count in sorted(snapshot.batch_sizes.items())
             },
         }
 
@@ -197,23 +216,19 @@ class ServerStats:
     def aggregate(cls, parts: Iterable["ServerStats"]) -> "ServerStats":
         """Merge several per-queue counter sets into one combined view.
 
-        Returns a new instance; the inputs are not modified.  Used by
+        Returns a new instance; the inputs are not modified.  Each input is
+        read under its own lock.  Used by
         :class:`~repro.serve.shard.ShardedServer` to expose fleet-wide
         stats over its replicas.
         """
 
         total = cls()
         for part in parts:
-            total.requests += part.requests
-            total.cache_hits += part.cache_hits
-            total.batches += part.batches
-            total.batched_images += part.batched_images
-            total.rejected += part.rejected
-            total.restarts += part.restarts
-            # Snapshot: a scheduler worker may insert a new batch-size key
-            # while we aggregate from another thread.
-            for size, count in dict(part.batch_sizes).items():
-                total.batch_sizes[size] = total.batch_sizes.get(size, 0) + count
-            for model, count in dict(part.per_model).items():
-                total.per_model[model] = total.per_model.get(model, 0) + count
+            with part._lock:
+                for name in _COUNTERS:
+                    setattr(total, name, getattr(total, name) + getattr(part, name))
+                for size, count in part.batch_sizes.items():
+                    total.batch_sizes[size] = total.batch_sizes.get(size, 0) + count
+                for model, count in part.per_model.items():
+                    total.per_model[model] = total.per_model.get(model, 0) + count
         return total

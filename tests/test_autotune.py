@@ -87,22 +87,6 @@ class TestBatchTunerOpenLoop:
         assert set(sizes[-60:]) <= {4, 8, 16}
         assert sizes[-60:].count(8) > 40
 
-    def test_wait_recommendation_tracks_arrival_rate(self):
-        tuner = BatchTuner(initial_batch_size=8, min_wait=0.0005, max_wait=0.01)
-        now = 100.0
-        for _ in range(64):
-            now += 0.001  # 1k req/s
-            tuner.record_arrival(now)
-        batch_size, wait = tuner.recommend()
-        # Half the time to accumulate one batch: 8 * 1ms / 2 = 4ms.
-        assert batch_size == 8
-        assert wait == pytest.approx(0.004, rel=0.05)
-        # A 100x faster stream pushes the wait to the floor.
-        for _ in range(200):
-            now += 0.00001
-            tuner.record_arrival(now)
-        assert tuner.recommend()[1] == pytest.approx(tuner.min_wait, rel=0.2)
-
     def test_bounds_and_validation(self):
         tuner = BatchTuner(initial_batch_size=1000, min_batch_size=4, max_batch_size=32)
         assert tuner.batch_size == 32
@@ -111,8 +95,6 @@ class TestBatchTunerOpenLoop:
             BatchTuner(min_batch_size=0)
         with pytest.raises(ValueError):
             BatchTuner(min_batch_size=16, max_batch_size=8)
-        with pytest.raises(ValueError):
-            BatchTuner(min_wait=0.5, max_wait=0.1)
         with pytest.raises(ValueError):
             BatchTuner(epoch_batches=0)
         with pytest.raises(ValueError):
@@ -197,15 +179,12 @@ class TestAutotunedServers:
         assert BatchedServer(registry, mode="sync").tuner is None
 
     def test_explicit_config_outside_defaults_is_not_clamped(self, registry):
-        # The constructor values are the starting point: a batch size or
-        # wait beyond the tuner's default ladder widens the ladder.
-        server = BatchedServer(
-            registry, max_batch_size=128, max_wait_ms=50.0, mode="sync", autotune=True
-        )
+        # The constructor value is the starting point: a batch size
+        # beyond the tuner's default ladder widens the ladder.
+        server = BatchedServer(registry, max_batch_size=128, mode="sync", autotune=True)
         assert server.tuner.batch_size == 128
         assert server.tuner.max_batch_size == 128
         assert server.batcher.max_batch_size == 128
-        assert server.batcher.max_wait == pytest.approx(0.050)
         replica = ProcessReplica(
             lambda: registry.snapshot("baseline"), max_batch_size=128, autotune=True
         )
@@ -226,11 +205,10 @@ class TestAutotunedServers:
         assert server.batcher.tuner is tuner
         assert server.batcher.max_batch_size == tuned_size
 
-    def test_thread_mode_autotunes_wait_and_size(self, registry, pool):
+    def test_thread_mode_autotunes_batch_size(self, registry, pool):
         server = BatchedServer(
             registry,
             max_batch_size=4,
-            max_wait_ms=1.0,
             cache_size=0,
             mode="thread",
             autotune=True,

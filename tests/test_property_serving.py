@@ -144,7 +144,7 @@ class TestSchedulerProperties:
     @given(pattern=arrival_patterns, cap=batch_caps)
     def test_thread_mode_invariants(self, pattern, cap):
         runner = RecordingRunner()
-        batcher = MicroBatcher(runner, max_batch_size=cap, max_wait=0.001, mode="thread")
+        batcher = MicroBatcher(runner, max_batch_size=cap, mode="thread")
         with batcher:
             futures = _submit_pattern(batcher, pattern)
         # stop() drained: every accepted request has resolved.
@@ -161,7 +161,7 @@ class TestSchedulerProperties:
                 return super().__call__(model_name, items)
 
         runner = SlowRunner()
-        batcher = MicroBatcher(runner, max_batch_size=cap, max_wait=0.0, mode="thread")
+        batcher = MicroBatcher(runner, max_batch_size=cap, mode="thread")
         with batcher:
             futures = _submit_pattern(batcher, pattern)
         _check_invariants(pattern, futures, runner, cap)

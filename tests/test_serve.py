@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 import time
 
 import numpy as np
@@ -12,11 +14,12 @@ from repro.core import DefenseConfig, DefendedClassifier
 from repro.data import make_dataset
 from repro.models.factory import resolve_variant, variant_catalog
 from repro.serve import (
-    InferenceServer,
+    BatchedServer,
     MicroBatcher,
     ModelRegistry,
     PredictionCache,
     PredictRequest,
+    ServerStats,
     generate_requests,
     image_fingerprint,
     run_load,
@@ -139,7 +142,7 @@ class TestMicroBatcher:
         assert all(future.result().batch_size in (4, 2) for future in futures)
 
     def test_thread_mode_resolves_futures(self, pool):
-        batcher = MicroBatcher(_echo_runner, max_batch_size=4, max_wait=0.01, mode="thread")
+        batcher = MicroBatcher(_echo_runner, max_batch_size=4, mode="thread")
         with batcher:
             futures = [
                 batcher.submit(PredictRequest(image=pool[0], request_id=str(i))) for i in range(9)
@@ -149,13 +152,35 @@ class TestMicroBatcher:
         # At least one batch must have been coalesced beyond a single request.
         assert max(response.batch_size for response in results) > 1
 
+    def test_thread_mode_dispatches_busy_driven(self, pool):
+        # The first request runs at once, alone; what queues while its
+        # batch runs forms the next batch, up to the cap.
+        release = threading.Event()
+        seen_sizes = []
+
+        def runner(model_name, items):
+            seen_sizes.append(len(items))
+            assert release.wait(5.0)
+            return _echo_runner(model_name, items)
+
+        with MicroBatcher(runner, max_batch_size=4, mode="thread") as batcher:
+            first = batcher.submit(PredictRequest(image=pool[0]))
+            deadline = time.perf_counter() + 5.0
+            while not seen_sizes and time.perf_counter() < deadline:
+                time.sleep(0.001)
+            queued = [batcher.submit(PredictRequest(image=pool[0])) for _ in range(6)]
+            release.set()
+            results = [future.result(timeout=5.0) for future in [first, *queued]]
+        assert seen_sizes == [1, 4, 2]
+        assert [response.batch_size for response in results] == [1, 4, 4, 4, 4, 2, 2]
+
     def test_thread_mode_requires_start(self, pool):
         batcher = MicroBatcher(_echo_runner, mode="thread")
         with pytest.raises(RuntimeError):
             batcher.submit(PredictRequest(image=pool[0]))
 
     def test_stop_drains_pending_requests(self, pool):
-        batcher = MicroBatcher(_echo_runner, max_batch_size=64, max_wait=5.0, mode="thread")
+        batcher = MicroBatcher(_echo_runner, max_batch_size=64, mode="thread")
         batcher.start()
         futures = [batcher.submit(PredictRequest(image=pool[0])) for _ in range(3)]
         batcher.stop()  # must not leave futures unresolved
@@ -189,8 +214,6 @@ class TestMicroBatcher:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             MicroBatcher(_echo_runner, max_batch_size=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(_echo_runner, max_wait=-1.0)
         with pytest.raises(ValueError):
             MicroBatcher(_echo_runner, mode="carrier-pigeon")
 
@@ -293,7 +316,7 @@ class TestModelRegistry:
 # ----------------------------------------------------------------------
 class TestInferenceServer:
     def test_sync_predictions_match_classifier(self, memory_registry, served_classifier, pool):
-        server = InferenceServer(memory_registry, mode="sync", max_batch_size=8, cache_size=0)
+        server = BatchedServer(memory_registry, mode="sync", max_batch_size=8, cache_size=0)
         responses = server.predict_many(pool)
         expected = served_classifier.predict(pool)
         assert [response.class_index for response in responses] == list(expected)
@@ -302,7 +325,7 @@ class TestInferenceServer:
         assert server.stats.mean_batch_size > 1
 
     def test_cache_hit_on_duplicate(self, memory_registry, pool):
-        server = InferenceServer(memory_registry, mode="sync", max_batch_size=8, cache_size=32)
+        server = BatchedServer(memory_registry, mode="sync", max_batch_size=8, cache_size=32)
         first = server.predict(pool[0])
         second = server.predict(pool[0])
         assert not first.cache_hit and second.cache_hit
@@ -311,8 +334,8 @@ class TestInferenceServer:
         assert server.stats.cache_hits == 1
 
     def test_thread_mode_end_to_end(self, memory_registry, served_classifier, pool):
-        with InferenceServer(
-            memory_registry, mode="thread", max_batch_size=4, max_wait_ms=2.0, cache_size=0
+        with BatchedServer(
+            memory_registry, mode="thread", max_batch_size=4, cache_size=0
         ) as server:
             futures = [server.submit(PredictRequest(image=image)) for image in pool]
             responses = [future.result(timeout=10.0) for future in futures]
@@ -328,21 +351,82 @@ class TestInferenceServer:
         classifier.fit(train_set, tiny_training_config)
         registry = ModelRegistry(None, image_size=IMAGE_SIZE)
         registry.add("rand_smooth_0.1", classifier, persist=False)
-        server = InferenceServer(registry, mode="sync", cache_size=0)
+        server = BatchedServer(registry, mode="sync", cache_size=0)
         response = server.predict(train_set.images[0], model="rand_smooth_0.1")
         # Vote shares are multiples of 1/num_samples.
         np.testing.assert_allclose(
             response.probabilities * 4, np.round(response.probabilities * 4), atol=1e-9
         )
 
+    def test_cache_miss_hashes_the_image_once(self, memory_registry, pool, monkeypatch):
+        from repro.serve import server as server_module
+
+        calls = []
+
+        def counting_fingerprint(model, image):
+            calls.append(model)
+            return image_fingerprint(model, image)
+
+        monkeypatch.setattr(server_module, "image_fingerprint", counting_fingerprint)
+        server = BatchedServer(memory_registry, mode="sync", max_batch_size=8, cache_size=32)
+        misses = server.predict_many(pool[:3])
+        hit = server.predict(pool[0])
+        assert not any(response.cache_hit for response in misses) and hit.cache_hit
+        # One hash per request: the probe's key is reused for the insert.
+        assert len(calls) == 4
+
     def test_response_metadata(self, memory_registry, pool):
-        server = InferenceServer(memory_registry, mode="sync", cache_size=0)
+        server = BatchedServer(memory_registry, mode="sync", cache_size=0)
         response = server.predict(pool[0])
         payload = response.as_dict()
         assert payload["model"] == "baseline"
         assert isinstance(payload["class_name"], str)
         assert 0.0 <= payload["confidence"] <= 1.0
         assert payload["latency_ms"] >= 0.0
+
+
+class TestServerStats:
+    def test_concurrent_updates_are_not_lost(self):
+        stats = ServerStats()
+        calls_per_thread = 200_000
+
+        def bump(model):
+            for _ in range(calls_per_thread):
+                stats.record_request(model)
+
+        threads = [
+            threading.Thread(target=bump, args=(model,)) for model in ("a", "a", "b", "c")
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to expose lost updates
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert stats.requests == 4 * calls_per_thread
+        assert stats.per_model == {
+            "a": 2 * calls_per_thread,
+            "b": calls_per_thread,
+            "c": calls_per_thread,
+        }
+        assert stats.as_dict()["per_model_requests"] == stats.per_model
+
+    def test_aggregate_merges_counts(self):
+        parts = [ServerStats(), ServerStats()]
+        parts[0].record_request("a")
+        parts[0].record_batch(1)
+        parts[1].record_request("a")
+        parts[1].record_batch(3)
+        parts[1].add("cache_hits")
+        total = ServerStats.aggregate(parts)
+        assert (total.requests, total.batches, total.batched_images) == (2, 2, 4)
+        assert total.cache_hits == 1
+        assert total.per_model == {"a": 2}
+        assert total.batch_sizes == {1: 1, 3: 1}
 
 
 # ----------------------------------------------------------------------
@@ -368,7 +452,7 @@ class TestTraffic:
 
     def test_run_load_and_naive_reports(self, memory_registry, served_classifier, pool):
         requests = generate_requests(pool, 16, duplicate_fraction=0.5, seed=2)
-        server = InferenceServer(memory_registry, mode="sync", max_batch_size=8, cache_size=64)
+        server = BatchedServer(memory_registry, mode="sync", max_batch_size=8, cache_size=64)
         report = run_load(server, requests)
         assert report.requests == 16
         assert report.images_per_second > 0

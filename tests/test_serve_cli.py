@@ -27,7 +27,6 @@ class TestFlagParsing:
         assert arguments.synthetic == 256
         assert arguments.duplicate_fraction == 0.25
         assert arguments.batch_size == 32
-        assert arguments.max_wait_ms == 2.0
         assert arguments.cache_size == 2048
         assert arguments.cache_policy == "lru"
         assert arguments.autotune is False
@@ -43,7 +42,6 @@ class TestFlagParsing:
                 "--http-port", "8080",
                 "--host", "0.0.0.0",
                 "--batch-size", "16",
-                "--max-wait-ms", "5.5",
                 "--cache-size", "512",
                 "--cache-policy", "tinylfu",
                 "--autotune",
@@ -61,7 +59,6 @@ class TestFlagParsing:
         assert arguments.http_port == 8080
         assert arguments.host == "0.0.0.0"
         assert arguments.batch_size == 16
-        assert arguments.max_wait_ms == 5.5
         assert arguments.cache_size == 512
         assert arguments.cache_policy == "tinylfu"
         assert arguments.autotune is True

@@ -169,22 +169,32 @@ class TestSocketFrontend:
         assert {reply["model"] for reply in results} == {"alpha", "beta"}
 
     def test_stop_drains_inflight_request(self, registry, pool):
-        # A long straggler wait parks the request in the scheduler; stopping
+        # A forward held on an event keeps the request in flight; stopping
         # the front-end must still stream the response back first.
-        server = ShardedServer(
-            registry, ["alpha"], mode="thread", max_batch_size=64, max_wait_ms=300.0
-        )
+        server = ShardedServer(registry, ["alpha"], mode="thread", max_batch_size=64)
+        replica = server.shard("alpha")[0].server
+        entered, release = threading.Event(), threading.Event()
+        forward = replica._forward
+
+        def held_forward(model_name, images):
+            entered.set()
+            assert release.wait(10.0)
+            return forward(model_name, images)
+
+        replica._forward = held_forward
         with server:
             frontend = SocketFrontend(server, port=0).start()
             client = SocketClient("127.0.0.1", frontend.port)
             try:
                 frame_meta = {"op": "predict", "model": "alpha", "request_id": "drain-1"}
                 client._socket.sendall(encode_npy_frame(frame_meta, pool[0]))
-                deadline = time.perf_counter() + 5.0
-                while server.stats.requests == 0 and time.perf_counter() < deadline:
-                    time.sleep(0.005)  # wait until the frontend enqueued it
+                assert entered.wait(5.0)  # the request is in its forward
                 stopper = threading.Thread(target=frontend.stop)
                 stopper.start()
+                deadline = time.perf_counter() + 5.0
+                while not frontend._draining and time.perf_counter() < deadline:
+                    time.sleep(0.005)  # let the drain begin, then finish the forward
+                release.set()
                 from repro.serve.frontend import _HEADER
 
                 kind, length = _HEADER.unpack(client._recv_exactly(_HEADER.size))

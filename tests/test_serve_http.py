@@ -418,11 +418,19 @@ class TestConnections:
         assert {reply["model"] for reply in results} == {"alpha", "beta"}
 
     def test_stop_drains_inflight_request(self, registry, pool):
-        # A long straggler wait parks the request in the scheduler; stopping
+        # A forward held on an event keeps the request in flight; stopping
         # the gateway must still stream the response back first.
-        server = ShardedServer(
-            registry, ["alpha"], mode="thread", max_batch_size=64, max_wait_ms=300.0
-        )
+        server = ShardedServer(registry, ["alpha"], mode="thread", max_batch_size=64)
+        replica = server.shard("alpha")[0].server
+        entered, release = threading.Event(), threading.Event()
+        forward = replica._forward
+
+        def held_forward(model_name, images):
+            entered.set()
+            assert release.wait(10.0)
+            return forward(model_name, images)
+
+        replica._forward = held_forward
         with server:
             gateway = HttpFrontend(server, port=0).start()
             client = HttpClient("127.0.0.1", gateway.port)
@@ -436,11 +444,13 @@ class TestConnections:
                 )
                 import time as _time
 
-                deadline = _time.perf_counter() + 5.0
-                while server.stats.requests == 0 and _time.perf_counter() < deadline:
-                    _time.sleep(0.005)  # wait until the gateway enqueued it
+                assert entered.wait(5.0)  # the request is in its forward
                 stopper = threading.Thread(target=gateway.stop)
                 stopper.start()
+                deadline = _time.perf_counter() + 5.0
+                while not gateway._draining and _time.perf_counter() < deadline:
+                    _time.sleep(0.005)  # let the drain begin, then finish the forward
+                release.set()
                 status, headers, raw = client._read_response()
                 stopper.join(timeout=10.0)
                 assert status == 200

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -253,18 +254,35 @@ class TestFailureHandling:
             assert replica.restarts == 1
 
     def test_drain_on_shutdown_resolves_inflight_requests(self, registry, pool):
-        # A long straggler wait keeps requests parked in the scheduler, so
-        # stop() must drain them rather than abandon their futures.
+        # Forwards held on an event keep a batch in flight and the rest
+        # queued behind it, so stop() must drain them rather than abandon
+        # their futures.
         server = ShardedServer(
-            registry, MODELS, mode="thread", max_batch_size=64, max_wait_ms=250.0, cache_size=0
+            registry, MODELS, mode="thread", max_batch_size=64, cache_size=0
         )
+        release = threading.Event()
+        for replica in server.all_replicas:
+
+            def held_forward(model_name, images, forward=replica.server._forward):
+                assert release.wait(10.0)
+                return forward(model_name, images)
+
+            replica.server._forward = held_forward
         server.start()
         futures = [
             server.submit(PredictRequest(image=pool[index % len(pool)], model=model))
             for index in range(4)
             for model in MODELS
         ]
-        server.stop()  # graceful drain: every accepted request resolves
+        assert not any(future.done() for future in futures)
+        stopper = threading.Thread(target=server.stop)
+        stopper.start()  # graceful drain: every accepted request resolves
+        deadline = time.perf_counter() + 5.0
+        while server.all_replicas[0].alive and time.perf_counter() < deadline:
+            time.sleep(0.005)  # let the drain begin, then finish the forwards
+        release.set()
+        stopper.join(timeout=10.0)
+        assert not stopper.is_alive()
         responses = [future.result(timeout=5.0) for future in futures]
         assert len(responses) == 12
         assert {response.model for response in responses} == set(MODELS)
@@ -311,6 +329,27 @@ class TestFailureHandling:
 # ----------------------------------------------------------------------
 # Process-mode replicas (mode="process")
 # ----------------------------------------------------------------------
+def _kill_worker_on_next_forward(replica, after_stop_begins=False):
+    """Make the replica's next forward kill its worker just before sending.
+
+    With ``after_stop_begins`` the forward first waits until ``stop()`` has
+    begun, so the kill lands during the drain.  One-shot: the hook removes
+    itself, so a respawned worker is left alone.
+    """
+
+    forward = replica._forward
+
+    def kill_then_forward(model_name, images):
+        del replica._forward
+        while after_stop_begins and replica.alive:
+            time.sleep(0.005)
+        replica._process.terminate()
+        replica._process.join(timeout=10.0)
+        return forward(model_name, images)
+
+    replica._forward = kill_then_forward
+
+
 class TestProcessShards:
     def test_process_mode_serves_and_routes(self, registry, pool):
         server = ShardedServer(
@@ -362,8 +401,6 @@ class TestProcessShards:
             assert server.predict(pool[0], model="alpha").model == "alpha"
             replica.server._process.terminate()  # simulate a worker crash
             replica.server._process.join(timeout=10.0)
-            deadline = threading.Event()
-            deadline.wait(0.1)  # give the receiver thread the EOF
             assert not replica.alive
             response = server.predict(pool[1], model="alpha")  # transparent revival
             assert response.model == "alpha"
@@ -376,18 +413,16 @@ class TestProcessShards:
         with server:
             replica = server.shard("alpha")[0].server
             assert server.predict(pool[0], model="alpha").model == "alpha"
-            # Recreate the crash aftermath: a request in flight when the
-            # worker dies stays unresolved until the replica is revived.
-            from repro.serve import QueuedRequest
-
-            stranded = QueuedRequest(PredictRequest(image=pool[1], model="alpha"))
-            with replica._lock:
-                replica._inflight[999] = [stranded]
-            replica._process.terminate()
-            replica._process.join(timeout=10.0)
-            response = server.predict(pool[2], model="alpha")  # triggers restart
+            expected = server.predict(pool[1], model="alpha").class_index
+            # Kill the worker while a batch is headed to it: the batch must
+            # be answered by the respawned worker, not failed.
+            _kill_worker_on_next_forward(replica)
+            stranded = server.submit(PredictRequest(image=pool[1], model="alpha"))
+            response = stranded.result(timeout=30.0)
             assert response.model == "alpha"
-            assert stranded.future.result(timeout=30.0).model == "alpha"
+            assert response.class_index == expected
+            assert replica.stats.restarts == 1
+            assert server.predict(pool[2], model="alpha").model == "alpha"
             assert replica.stats.restarts == 1
 
     def test_stop_drains_inflight_requests(self, registry, pool):
@@ -425,6 +460,28 @@ class TestProcessShards:
         with pytest.raises(ValueError):
             ShardedServer(registry, ["alpha"], mode="greenlet")
 
+    def test_standalone_replica_is_pinned_to_its_snapshot_model(self, registry, pool):
+        from repro.serve import ProcessReplica
+
+        replica = ProcessReplica(lambda: registry.snapshot("alpha"), cache_size=0)
+        assert replica.allowed_models == {"alpha"}
+        with pytest.raises(UnknownModelError):
+            replica.submit(PredictRequest(image=pool[0], model="beta"))
+        assert replica.stats.rejected == 1
+
+    def test_standalone_replica_respawns_worker_that_died_idle(self, registry, pool):
+        from repro.serve import ProcessReplica
+
+        with ProcessReplica(lambda: registry.snapshot("alpha"), cache_size=0) as replica:
+            expected = replica.predict(pool[0], model="alpha").class_index
+            replica._process.terminate()  # the worker dies between requests
+            replica._process.join(timeout=10.0)
+            assert not replica.alive
+            response = replica.predict(pool[0], model="alpha")
+            assert response.class_index == expected
+            assert replica.alive
+            assert replica.stats.restarts == 1
+
     def test_snapshot_round_trip_preserves_predictions(self, registry, pool):
         from repro.serve import classifier_from_snapshot
 
@@ -441,16 +498,12 @@ class TestProcessShards:
         with server:
             replica = server.shard("alpha")[0].server
             assert server.predict(pool[0], model="alpha").model == "alpha"
-            # Recreate a crash mid-drain: an in-flight request whose worker
-            # is gone.  stop() must fail the future, not hang its waiter.
-            from repro.serve import QueuedRequest
-
-            stranded = QueuedRequest(PredictRequest(image=pool[1], model="alpha"))
-            with replica._lock:
-                replica._inflight[999] = [stranded]
-            replica._process.terminate()
-            replica._process.join(timeout=10.0)
+            # Kill the worker while a batch is headed to it during stop():
+            # the drain must fail the future, not respawn or hang its waiter.
+            _kill_worker_on_next_forward(replica, after_stop_begins=True)
+            stranded = server.submit(PredictRequest(image=pool[1], model="alpha"))
         with pytest.raises(RuntimeError, match="died while draining"):
-            stranded.future.result(timeout=5.0)
-        done, _ = concurrent.futures.wait([stranded.future], timeout=0.1)
-        assert stranded.future in done
+            stranded.result(timeout=5.0)
+        done, _ = concurrent.futures.wait([stranded], timeout=0.1)
+        assert stranded in done
+        assert replica.stats.restarts == 0
