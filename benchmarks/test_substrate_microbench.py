@@ -62,6 +62,24 @@ def test_depthwise_blur(benchmark, batch):
     assert result.shape == images.shape
 
 
+def test_depthwise_conv7x7_forward_backward(benchmark):
+    """The trainable 7x7 BlurNet layer at its training shape (batch 32, 16 maps)."""
+
+    feature_maps = np.random.default_rng(1).standard_normal((32, 16, 32, 32))
+    weight = Tensor(np.full((16, 7, 7), 1.0 / 49.0), requires_grad=True)
+
+    def step():
+        inputs = Tensor(feature_maps, requires_grad=True)
+        weight.zero_grad()
+        output = depthwise_conv2d(inputs, weight, padding=3)
+        output.sum().backward()
+        return inputs.grad
+
+    grad_input = benchmark(step)
+    assert grad_input.shape == feature_maps.shape
+    assert weight.grad.shape == weight.shape
+
+
 def test_rp2_attack_short_run(benchmark):
     evaluation = make_stop_sign_eval_set(num_views=4, image_size=32, seed=0)
     masks = np.stack([sticker_mask(mask) for mask in evaluation.masks])

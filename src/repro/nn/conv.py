@@ -1,17 +1,21 @@
 """Convolution and pooling primitives on the autodiff :class:`Tensor`.
 
 All spatial operators use the ``NCHW`` layout (batch, channels, height,
-width).  Convolutions are implemented with an im2col lowering so the heavy
-lifting is a single dense matrix multiplication, which keeps the pure-NumPy
-substrate fast enough to train the small LISA-CNN classifiers used in the
-BlurNet experiments.
+width).  Both convolutions lower to dense matrix multiplications through
+BLAS, which keeps the pure-NumPy substrate fast enough to train the small
+LISA-CNN classifiers used in the BlurNet experiments and to attack them.
 
 The public functions are:
 
-* :func:`conv2d` -- standard cross-correlation with ``(C_out, C_in, K, K)`` weights.
+* :func:`conv2d` -- standard cross-correlation with ``(C_out, C_in, K, K)``
+  weights, lowered to ``K * K`` patch columns by :func:`im2col` (and back
+  by :func:`col2im` for the input gradient).
 * :func:`depthwise_conv2d` -- per-channel convolution used by the BlurNet
-  filter layer (``(C, K, K)`` weights, one kernel per channel).
-* :func:`max_pool2d` / :func:`avg_pool2d` -- spatial pooling.
+  filter layer (``(C, K, K)`` weights, one kernel per channel), lowered to
+  banded matrix products over the ``K`` padded input rows under each
+  output row.
+* :func:`max_pool2d` / :func:`avg_pool2d` -- spatial pooling over
+  :func:`im2col` windows.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Tensor
 
@@ -177,6 +182,17 @@ def depthwise_conv2d(
     learned blur kernel is applied independently to every feature-map
     channel.
 
+    The op is lowered to banded matrix products batched over channels.
+    Each output row reads ``K`` full rows of the zero-padded input; those
+    are gathered side by side into a ``(C, N * out_h, K * W_pad)`` matrix
+    and multiplied by a ``(C, K * W_pad, out_w)`` band whose column ``j``
+    holds tap ``(r, s)`` at row ``r * W_pad + j * stride + s``.
+    Grad-input is the same product against the transposed band, summed
+    back over the ``K`` row shifts; grad-weight is read off the ``K``
+    diagonals of ``rows^T @ grad``.  Unlike an im2col lowering this copies
+    the input ``K`` times rather than ``K * K`` times, and the row gather is
+    kept for backward only when the weight needs a gradient.
+
     Parameters
     ----------
     inputs:
@@ -185,6 +201,8 @@ def depthwise_conv2d(
         Tensor of shape ``(C, K, K)``.
     bias:
         Optional tensor of shape ``(C,)``.
+    stride, padding:
+        Standard convolution hyper-parameters.
     """
 
     batch, channels, height, width = inputs.shape
@@ -196,26 +214,60 @@ def depthwise_conv2d(
             f"depthwise weight expects {weight_channels} channels, got {channels}"
         )
 
-    cols, out_h, out_w = im2col(inputs.data, kernel, stride, padding)
-    # cols: (N, C, K, K, out_h, out_w); contract K x K per channel.
-    output = np.einsum("ncklhw,ckl->nchw", cols, weight.data)
+    out_h = _output_size(height, kernel, stride, padding)
+    out_w = _output_size(width, kernel, stride, padding)
+    padded_h, padded_w = height + 2 * padding, width + 2 * padding
+
+    # Channels lead, so each channel is one matrix product over all images.
+    padded = np.zeros((channels, batch, padded_h, padded_w))
+    padded[:, :, padding : padding + height, padding : padding + width] = (
+        inputs.data.transpose(1, 0, 2, 3)
+    )
+    # The K input rows under an output row are one contiguous run of padded.
+    windows = sliding_window_view(padded, (kernel, padded_w), axis=(2, 3))
+    rows = windows[:, :, ::stride, 0].reshape(channels, batch * out_h, kernel * padded_w)
+
+    # Tap (r, s) meets output column j at row r * W_pad + j * stride + s.
+    shift = np.arange(kernel).reshape(kernel, 1, 1)
+    tap = np.arange(kernel).reshape(1, kernel, 1)
+    column = np.arange(out_w).reshape(1, 1, out_w)
+    tap_rows = shift * padded_w + column * stride + tap
+    tap_cols = np.broadcast_to(column, tap_rows.shape)
+    band = np.zeros((channels, kernel * padded_w, out_w))
+    band[:, tap_rows, tap_cols] = weight.data[:, :, :, None]
+
+    output = np.matmul(rows, band).reshape(channels, batch, out_h, out_w)
+    output = np.ascontiguousarray(output.transpose(1, 0, 2, 3))
     if bias is not None:
         output = output + bias.data.reshape(1, channels, 1, 1)
 
     parents = [inputs, weight] if bias is None else [inputs, weight, bias]
+    # Only grad-weight reads the row gather, and RP2 and the frozen blurs
+    # never train the taps, so they do not keep it alive until backward.
+    saved_rows = rows if weight.requires_grad else None
 
     def backward(out: Tensor) -> None:
-        grad_output = out.grad
-        if weight.requires_grad:
-            grad_weight = np.einsum("ncklhw,nchw->ckl", cols, grad_output)
-            weight._accumulate(grad_weight)
+        grad_output = out.grad.transpose(1, 0, 2, 3).reshape(channels, batch * out_h, out_w)
+        if saved_rows is not None:
+            grad_band = np.matmul(saved_rows.transpose(0, 2, 1), grad_output)
+            weight._accumulate(grad_band[:, tap_rows, tap_cols].sum(axis=-1))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_output.sum(axis=(0, 2, 3)))
+            bias._accumulate(out.grad.sum(axis=(0, 2, 3)))
         if inputs.requires_grad:
-            grad_cols = np.einsum("ckl,nchw->ncklhw", weight.data, grad_output)
-            inputs._accumulate(
-                col2im(grad_cols, inputs.shape, kernel, stride, padding)
-            )
+            # One product per row shift keeps each scatter-add contiguous;
+            # shift r lands on padded rows r, r + stride, ...
+            band_shifts = band.reshape(channels, kernel, padded_w, out_w)
+            row_span = stride * (out_h - 1) + 1
+            grad_padded = np.zeros((channels, batch, padded_h, padded_w))
+            for r in range(kernel):
+                grad_rows = np.matmul(grad_output, band_shifts[:, r].transpose(0, 2, 1))
+                grad_padded[:, :, r : r + row_span : stride] += grad_rows.reshape(
+                    channels, batch, out_h, padded_w
+                )
+            grad_input = grad_padded[
+                :, :, padding : padding + height, padding : padding + width
+            ]
+            inputs._accumulate(grad_input.transpose(1, 0, 2, 3))
 
     return Tensor._make(output, parents, backward, name="depthwise_conv2d")
 

@@ -145,6 +145,49 @@ def _pad_nhwc(
     return padded
 
 
+def _rank_one_factors(
+    weights: np.ndarray,
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Split ``(C, K, K)`` depthwise taps into per-channel outer products.
+
+    Returns ``(column_factors, row_factors)``, each ``(C, K)``, with
+    ``weights[c] == outer(column_factors[c], row_factors[c])`` up to float64
+    rounding, or ``None`` when some channel's kernel is not rank 1.
+    """
+
+    left, singular, right = np.linalg.svd(weights)
+    if (singular[:, 1:] > 1e-12 * singular[:, :1]).any():
+        return None
+    scale = np.sqrt(singular[:, 0:1])
+    return left[:, :, 0] * scale, right[:, 0, :] * scale
+
+
+def _shift_accumulate(
+    source: np.ndarray,
+    taps: List[Tuple[int, int, np.ndarray]],
+    spatial: Tuple[int, int],
+    out: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """``out = sum(tap * window)`` over ``(row, col, tap)`` shifts of ``source``.
+
+    Each window starts at ``(row, col)`` on the ``spatial`` axes and has
+    ``out``'s spatial extent.
+    """
+
+    height, width = out.shape[spatial[0]], out.shape[spatial[1]]
+    for position, (row, col, tap) in enumerate(taps):
+        window: List[slice] = [slice(None)] * source.ndim
+        window[spatial[0]] = slice(row, row + height)
+        window[spatial[1]] = slice(col, col + width)
+        shifted = source[tuple(window)]
+        if position == 0:
+            np.multiply(shifted, tap, out=out)
+        else:
+            np.multiply(shifted, tap, out=scratch)
+            out += scratch
+
+
 def _pad_spatial(
     x: np.ndarray,
     axes: Tuple[int, int],
@@ -334,17 +377,25 @@ class InferenceEngine:
             # for the passes -- two small layout copies buy fully
             # vectorized inner loops.
             channels_first = channels < 8
-            taps = [
-                (
-                    row,
-                    col,
-                    weight_tensor.data[:, row, col]
-                    .astype(dtype)
-                    .reshape((channels, 1, 1) if channels_first else (channels,)),
-                )
-                for row in range(layer.kernel_size)
-                for col in range(layer.kernel_size)
-            ]
+            tap_shape = (channels, 1, 1) if channels_first else (channels,)
+
+            def tap(values: np.ndarray) -> np.ndarray:
+                return values.astype(dtype).reshape(tap_shape)
+
+            # Box and Gaussian blurs are rank 1 in every channel: they run as
+            # K passes along the rows, then K along the columns, instead of
+            # K*K passes.
+            factors = _rank_one_factors(weight_tensor.data)
+            if factors is None:
+                taps = [
+                    (row, col, tap(weight_tensor.data[:, row, col]))
+                    for row in range(kernel)
+                    for col in range(kernel)
+                ]
+            else:
+                column_factors, row_factors = factors
+                row_taps = [(0, col, tap(row_factors[:, col])) for col in range(kernel)]
+                column_taps = [(row, 0, tap(column_factors[:, row])) for row in range(kernel)]
 
             def depthwise_op(x: np.ndarray, buffers: Dict[object, np.ndarray]) -> np.ndarray:
                 batch, height, width, _ = x.shape
@@ -369,16 +420,17 @@ class InferenceEngine:
                     shape = (batch, out_h, out_w, channels)
                 out = _workspace(buffers, (index, "out"), shape, dtype)
                 scratch = _workspace(buffers, (index, "tmp"), shape, dtype)
-                for position, (row, col, tap) in enumerate(taps):
-                    if channels_first:
-                        shifted = padded[:, :, row : row + out_h, col : col + out_w]
-                    else:
-                        shifted = padded[:, row : row + out_h, col : col + out_w]
-                    if position == 0:
-                        np.multiply(shifted, tap, out=out)
-                    else:
-                        np.multiply(shifted, tap, out=scratch)
-                        out += scratch
+                if factors is None:
+                    _shift_accumulate(padded, taps, spatial, out, scratch)
+                else:
+                    # Row pass: full padded height, output width.
+                    row_shape = list(shape)
+                    row_shape[spatial[0]] = padded.shape[spatial[0]]
+                    row_shape = tuple(row_shape)
+                    row_out = _workspace(buffers, (index, "rows"), row_shape, dtype)
+                    row_scratch = _workspace(buffers, (index, "rows_tmp"), row_shape, dtype)
+                    _shift_accumulate(padded, row_taps, spatial, row_out, row_scratch)
+                    _shift_accumulate(row_out, column_taps, spatial, out, scratch)
                 if channels_first:
                     back = _workspace(
                         buffers, (index, "nhwc"), (batch, out_h, out_w, channels), dtype

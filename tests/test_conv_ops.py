@@ -118,6 +118,55 @@ class TestConv2D:
         assert np.allclose(image_tensor.grad, numeric_x, atol=1e-4)
 
 
+#: Absolute and relative tolerance of the float64 depthwise reference checks.
+DEPTHWISE_TOLERANCE = 1e-10
+
+#: (kernel, padding) pairs: no padding and "same" padding, once each.
+DEPTHWISE_GEOMETRIES = [(k, p) for k in (1, 3, 5, 7) for p in sorted({0, k // 2})]
+
+
+def depthwise_reference(image, weight, bias, grad_output, stride, padding):
+    """Per-tap loop reference for depthwise conv and its gradients.
+
+    Returns ``(output, grad_input, grad_weight, grad_bias)`` for the loss
+    ``sum(output * grad_output)``.
+    """
+
+    kernel = weight.shape[-1]
+    padded = np.pad(image, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out_h = (padded.shape[2] - kernel) // stride + 1
+    out_w = (padded.shape[3] - kernel) // stride + 1
+
+    def window(array, r, s):
+        return array[
+            :, :, r : r + stride * (out_h - 1) + 1 : stride, s : s + stride * (out_w - 1) + 1 : stride
+        ]
+
+    output = np.zeros(image.shape[:2] + (out_h, out_w))
+    for r in range(kernel):
+        for s in range(kernel):
+            output += window(padded, r, s) * weight[None, :, r, s, None, None]
+    if bias is not None:
+        output += bias[None, :, None, None]
+
+    grad_padded = np.zeros_like(padded)
+    grad_weight = np.zeros_like(weight)
+    for r in range(kernel):
+        for s in range(kernel):
+            window(grad_padded, r, s)[...] += grad_output * weight[None, :, r, s, None, None]
+            grad_weight[:, r, s] = (window(padded, r, s) * grad_output).sum(axis=(0, 2, 3))
+    height, width = image.shape[2:]
+    grad_input = grad_padded[:, :, padding : padding + height, padding : padding + width]
+    grad_bias = None if bias is None else grad_output.sum(axis=(0, 2, 3))
+    return output, grad_input, grad_weight, grad_bias
+
+
+def assert_depthwise_close(actual, expected):
+    np.testing.assert_allclose(
+        actual, expected, rtol=DEPTHWISE_TOLERANCE, atol=DEPTHWISE_TOLERANCE
+    )
+
+
 class TestDepthwiseConv2D:
     def test_channels_filtered_independently(self):
         image = np.zeros((1, 2, 5, 5))
@@ -157,6 +206,50 @@ class TestDepthwiseConv2D:
 
         assert np.allclose(weight_tensor.grad, numeric_grad(loss, weight), atol=1e-4)
         assert np.allclose(image_tensor.grad, numeric_grad(loss, image), atol=1e-4)
+
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["no_bias", "bias"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("channels", [1, 3, 16])
+    @pytest.mark.parametrize("kernel,padding", DEPTHWISE_GEOMETRIES)
+    def test_matches_per_tap_reference(self, kernel, padding, channels, stride, with_bias):
+        rng = np.random.default_rng(kernel * 1000 + channels * 10 + stride)
+        image = rng.standard_normal((2, channels, 9, 12))
+        weight = rng.standard_normal((channels, kernel, kernel))
+        bias = rng.standard_normal(channels) if with_bias else None
+
+        image_tensor = Tensor(image, requires_grad=True)
+        weight_tensor = Tensor(weight, requires_grad=True)
+        bias_tensor = Tensor(bias, requires_grad=True) if with_bias else None
+        output = depthwise_conv2d(
+            image_tensor, weight_tensor, bias_tensor, stride=stride, padding=padding
+        )
+        grad_output = rng.standard_normal(output.shape)
+        output.backward(grad_output)
+
+        expected = depthwise_reference(image, weight, bias, grad_output, stride, padding)
+        assert output.shape == expected[0].shape
+        assert_depthwise_close(output.data, expected[0])
+        assert_depthwise_close(image_tensor.grad, expected[1])
+        assert_depthwise_close(weight_tensor.grad, expected[2])
+        if with_bias:
+            assert_depthwise_close(bias_tensor.grad, expected[3])
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_frozen_weight_gets_no_gradient(self, stride):
+        rng = np.random.default_rng(6)
+        image = rng.standard_normal((3, 16, 9, 12))
+        weight = rng.standard_normal((16, 7, 7))
+
+        image_tensor = Tensor(image, requires_grad=True)
+        weight_tensor = Tensor(weight, requires_grad=False)
+        output = depthwise_conv2d(image_tensor, weight_tensor, stride=stride, padding=3)
+        grad_output = rng.standard_normal(output.shape)
+        output.backward(grad_output)
+
+        expected = depthwise_reference(image, weight, None, grad_output, stride, 3)
+        assert weight_tensor.grad is None
+        assert_depthwise_close(output.data, expected[0])
+        assert_depthwise_close(image_tensor.grad, expected[1])
 
 
 class TestPooling:

@@ -8,14 +8,16 @@ import pytest
 from repro.core import DefenseConfig, DefendedClassifier
 from repro.models.factory import variant_catalog
 from repro.nn import Tensor
+from repro.core.blur_kernels import gaussian_kernel
 from repro.nn.inference import (
     InferenceEngine,
+    _rank_one_factors,
     batched_forward,
     batched_predict_proba,
     compile_inference,
     softmax_probabilities,
 )
-from repro.nn.layers import Layer, Sequential
+from repro.nn.layers import DepthwiseConv2D, Flatten, Layer, Sequential
 
 
 ENGINE_VARIANTS = [
@@ -78,6 +80,33 @@ class TestEngineEquivalence:
         np.testing.assert_allclose(
             engine.predict_logits(images), before + 5.0, atol=1e-4
         )
+
+    @pytest.mark.parametrize("channels", [3, 16], ids=["channels_first", "nhwc"])
+    @pytest.mark.parametrize("kernel", [3, 5])
+    @pytest.mark.parametrize("taps", ["gaussian", "rank_one", "full_rank"])
+    def test_depthwise_layer_matches_tensor_forward(self, taps, kernel, channels):
+        # Rank-1 taps run as row-then-column passes; any other kernel runs
+        # one pass per tap.  Both must match autodiff.  The asymmetric
+        # rank-1 case catches swapped row and column factors.
+        rng = np.random.default_rng(kernel * channels)
+        if taps == "gaussian":
+            weight = np.stack([gaussian_kernel(kernel)] * channels)
+        elif taps == "rank_one":
+            columns = rng.standard_normal((channels, kernel, 1))
+            rows = rng.standard_normal((channels, 1, kernel))
+            weight = columns * rows
+        else:
+            weight = rng.standard_normal((channels, kernel, kernel))
+        assert (_rank_one_factors(weight) is None) == (taps == "full_rank")
+
+        model = Sequential(
+            [DepthwiseConv2D(channels, kernel, initial_weight=weight), Flatten()]
+        )
+        inputs = np.random.default_rng(1).standard_normal((4, channels, 11, 13))
+        reference = model(Tensor(inputs)).data
+        float64_engine = InferenceEngine(model, dtype=np.float64)
+        np.testing.assert_allclose(float64_engine.forward(inputs), reference, atol=1e-10)
+        np.testing.assert_allclose(InferenceEngine(model).forward(inputs), reference, atol=1e-4)
 
     def test_unknown_layer_falls_back_to_tensor_forward(self, images):
         class Doubler(Layer):
