@@ -9,10 +9,12 @@ gradients of a scalar loss with respect to every tensor in the graph via
 The design mirrors the familiar PyTorch semantics at a much smaller scale:
 
 * every differentiable operation creates a new ``Tensor`` whose ``_parents``
-  reference the inputs and whose ``_backward`` closure accumulates gradients
-  into those inputs;
+  reference the inputs and whose ``_backward`` function, called with that
+  node, accumulates gradients into those inputs;
 * ``backward()`` performs a topological sort of the graph and runs the
-  closures in reverse order;
+  functions in reverse order.  The functions close over the inputs, never
+  over the node they are stored on, so a graph holds no reference cycle
+  and is freed as soon as nothing refers to it;
 * broadcasting is supported for the elementwise arithmetic operators -- the
   gradient of a broadcast operand is summed back to its original shape.
 
@@ -101,7 +103,8 @@ class Tensor:
     parents:
         Internal -- tensors this node was computed from.
     backward_fn:
-        Internal -- closure that propagates ``self.grad`` into the parents.
+        Internal -- function that, called with this tensor, propagates its
+        ``grad`` into the parents.
     name:
         Optional human-readable label used in ``repr`` and debugging.
     """
@@ -113,7 +116,7 @@ class Tensor:
         data: ArrayLike,
         requires_grad: bool = False,
         parents: Sequence["Tensor"] = (),
-        backward_fn: Optional[Callable[[], None]] = None,
+        backward_fn: Optional[Callable[["Tensor"], None]] = None,
         name: str = "",
     ) -> None:
         if isinstance(data, Tensor):
@@ -122,7 +125,9 @@ class Tensor:
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self.grad: Optional[np.ndarray] = None
         self._parents: Tuple[Tensor, ...] = tuple(parents) if is_grad_enabled() else ()
-        self._backward: Optional[Callable[[], None]] = backward_fn if is_grad_enabled() else None
+        self._backward: Optional[Callable[["Tensor"], None]] = (
+            backward_fn if is_grad_enabled() else None
+        )
         self.name = name
 
     # ------------------------------------------------------------------
@@ -221,19 +226,16 @@ class Tensor:
     ) -> "Tensor":
         """Create an op output node.
 
-        ``backward_fn`` receives the freshly created output tensor so it can
-        read ``out.grad`` and push gradients to the parents.
+        ``backward_fn`` is stored on the output node and called with it
+        during :meth:`backward`, so it can read ``out.grad`` and push
+        gradients to the parents without capturing the node itself.
         """
 
         requires_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = cls(data, requires_grad=requires_grad, name=name)
         if requires_grad:
             out._parents = tuple(parents)
-
-            def _backward() -> None:
-                backward_fn(out)
-
-            out._backward = _backward
+            out._backward = backward_fn
         return out
 
     # ------------------------------------------------------------------
@@ -573,7 +575,7 @@ class Tensor:
         ordering = self._topological_order()
         for node in reversed(ordering):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node)
 
     def _topological_order(self) -> list:
         """Return nodes reachable from ``self`` in topological order."""

@@ -40,6 +40,7 @@ alongside the frame-protocol port::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -54,6 +55,7 @@ from ..models.factory import variant_catalog
 from ..models.training import TrainingConfig
 from .frontend import SocketFrontend
 from .http import HttpFrontend
+from .procshard import single_blas_thread
 from .registry import ModelRegistry
 from .server import BatchedServer
 from .shard import ShardedServer
@@ -312,6 +314,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             registry.get(name)
         except KeyError as error:
             raise SystemExit(str(error.args[0]) if error.args else str(error))
+
+    # A process-mode server owns every thread in this process, so it runs
+    # OpenBLAS at one thread: the shard workers fork inside the cap (crash
+    # respawns too) and inherit it.  Thread mode leaves BLAS as it is.
+    blas_cap = single_blas_thread() if arguments.mode == "process" else contextlib.nullcontext()
+    with blas_cap:
+        return _serve(arguments, registry, models)
+
+
+def _serve(arguments: argparse.Namespace, registry: ModelRegistry, models: List[str]) -> int:
+    """Serve the resolved ``models`` as the flags say; returns the exit code."""
 
     server = _build_server(arguments, registry, models)
     if arguments.shards is not None:

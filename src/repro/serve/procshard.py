@@ -17,6 +17,13 @@ is sent again to the new one), and shutdown after the drain in ``stop()``
 ``RuntimeError`` instead of hanging them.  Workers start with ``fork``
 where available, else ``spawn``.
 
+The replica never changes BLAS threads, in the worker or in the caller.
+A dedicated server process may: :func:`single_blas_thread` runs every
+OpenBLAS pool in this process at one thread, and workers forked inside it
+inherit the cap.  ``python -m repro.serve --mode process`` serves inside
+it; each worker reports its pool size in its ready handshake and
+:meth:`ProcessReplica.metrics` shows it.
+
 Thread-safety: as :class:`~repro.serve.server.BatchedServer`.  The worker
 handle is swapped under a lock, so the scheduler thread and a
 ``restart()`` replace a dead worker once.
@@ -24,10 +31,12 @@ handle is swapped under a lock, so the scheduler thread and a
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import multiprocessing as mp
 import os
 import threading
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +45,7 @@ from .cache import image_fingerprint  # noqa: F401
 from .registry import ModelSnapshot, classifier_from_snapshot
 from .server import BatchedServer
 
-__all__ = ["ProcessReplica", "worker_main"]
+__all__ = ["ProcessReplica", "blas_threads", "single_blas_thread", "worker_main"]
 
 #: Seconds a freshly spawned worker gets to rebuild its classifier and
 #: compile its engine before the spawn gives up.
@@ -51,16 +60,101 @@ _POLL_INTERVAL = 0.1
 
 _CONTEXT = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
 
+#: ``(set, get)`` thread-count symbols of an OpenBLAS library, in lookup
+#: order: numpy's and scipy's wheels vendor it under a ``scipy_`` prefix,
+#: and 64-bit-integer builds add a ``64_`` suffix.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+#: One OpenBLAS thread pool: library path, setter, getter.
+_BlasPool = Tuple[str, Callable[[int], None], Callable[[], int]]
+
+
+def _openblas_pools() -> List[_BlasPool]:
+    """Every OpenBLAS library mapped into this process that exposes its thread count.
+
+    Empty when ``/proc/self/maps`` cannot be read (non-Linux hosts) or no
+    mapped library exports the symbols (other BLAS builds).
+    """
+
+    try:
+        with open("/proc/self/maps") as maps:  # the pathname is the last field
+            mapped = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    except OSError:
+        return []
+    pools: List[_BlasPool] = []
+    for path in sorted(path for path in mapped if "openblas" in os.path.basename(path)):
+        try:
+            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(library, set_name) and hasattr(library, get_name):
+                setter, getter = getattr(library, set_name), getattr(library, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                pools.append((path, setter, getter))
+                break
+    return pools
+
+
+def blas_threads() -> Optional[int]:
+    """Thread count of numpy's OpenBLAS pool; ``None`` when no OpenBLAS is found.
+
+    numpy's pool is the one inside its installation (``numpy.libs`` for
+    wheels); a numpy linked against a system OpenBLAS reports the first
+    mapped pool.
+    """
+
+    pools = _openblas_pools()
+    if not pools:
+        return None
+    numpy_root = os.path.dirname(np.__file__)
+    _, _, get_threads = next((pool for pool in pools if pool[0].startswith(numpy_root)), pools[0])
+    return get_threads()
+
+
+@contextlib.contextmanager
+def single_blas_thread() -> Iterator[None]:
+    """Run the block with every OpenBLAS pool in this process at one thread.
+
+    Records each pool's thread count, sets it to 1, and restores the counts
+    on exit.  Processes forked inside the block inherit the cap.  A no-op
+    where no OpenBLAS pool can be found.
+
+    Only a process that owns all of its threads should enter this: library
+    code must not change a caller's BLAS threads.  An idle OpenBLAS thread
+    spins for a while after every call, so one pool per vCPU in each shard
+    worker starves the other workers and the parent's schedulers.
+    """
+
+    pools = _openblas_pools()
+    previous = [get_threads() for _, _, get_threads in pools]
+    for _, set_threads, _ in pools:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads, _), count in zip(pools, previous):
+            set_threads(count)
+
 
 def worker_main(snapshot: ModelSnapshot, connection) -> None:
     """Entry point of one shard worker process.
 
     Rebuilds the classifier from the registry snapshot, compiles a private
     inference engine (randomized-smoothing variants predict through their
-    vectorized Monte-Carlo vote instead), sends ``("ready", pid)``, then
-    answers each image batch with ``("result", probabilities)`` until the
-    ``None`` shutdown sentinel (or a closed pipe) arrives.  A failed batch
-    is answered with ``("error", message)`` without killing the worker.
+    vectorized Monte-Carlo vote instead), sends ``("ready", pid,
+    blas_threads)`` -- the size of its numpy OpenBLAS pool, ``None``
+    without OpenBLAS; a worker forked inside :func:`single_blas_thread`
+    reports 1 -- then answers each image batch with ``("result",
+    probabilities)`` until the ``None`` shutdown sentinel (or a closed
+    pipe) arrives.  A failed batch is answered with ``("error", message)``
+    without killing the worker.
     """
 
     try:
@@ -73,7 +167,7 @@ def worker_main(snapshot: ModelSnapshot, connection) -> None:
             engine.predict(
                 np.zeros((1, 3, snapshot.image_size, snapshot.image_size), dtype=np.float32)
             )
-        connection.send(("ready", os.getpid()))
+        connection.send(("ready", os.getpid(), blas_threads()))
     except Exception as error:  # startup failure: report, then exit
         try:
             connection.send(("fatal", repr(error)))
@@ -138,6 +232,7 @@ class ProcessReplica(BatchedServer):
         self._process: Optional[mp.process.BaseProcess] = None
         self._connection = None
         self._stopping = False
+        self._blas_threads: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -208,6 +303,16 @@ class ProcessReplica(BatchedServer):
     def warm(self, model: Optional[str] = None) -> None:
         """No-op: the worker compiles its engine when it is spawned."""
 
+    def metrics(self) -> dict:
+        """:meth:`BatchedServer.metrics` plus the worker's ``blas_threads``.
+
+        That is the worker's numpy OpenBLAS pool size from its latest ready
+        handshake (``None`` before the first spawn or without OpenBLAS): 1
+        when the worker was forked inside :func:`single_blas_thread`.
+        """
+
+        return {**super().metrics(), "blas_threads": self._blas_threads}
+
     # ------------------------------------------------------------------
     # The forward: one pipe round trip per micro-batch
     # ------------------------------------------------------------------
@@ -276,6 +381,7 @@ class ProcessReplica(BatchedServer):
                 f"process shard worker for {snapshot.name!r} failed to start: {status[1]}"
             )
         self._process, self._connection = process, connection
+        self._blas_threads = status[2]
 
     def _shutdown_worker(self, force: bool = False) -> None:
         process, connection = self._process, self._connection

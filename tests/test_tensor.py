@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -340,3 +343,19 @@ class TestGraphMechanics:
         c = Tensor([2.0])
         (x * c).sum().backward()
         assert c.grad is None
+
+    def test_graph_is_freed_without_the_cyclic_collector(self):
+        # A node must not reference itself through its backward function:
+        # graphs (im2col columns included) would then live until a cyclic
+        # collection.  Tensor has __slots__, so watch the array instead.
+        gc.disable()
+        try:
+            x = Tensor(np.ones((4, 4)), requires_grad=True)
+            hidden = x * 2.0
+            loss = (hidden * hidden).sum()
+            loss.backward()
+            watched = weakref.ref(hidden.data)
+            del hidden, loss
+            assert watched() is None
+        finally:
+            gc.enable()
